@@ -77,41 +77,12 @@ runEngine(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     return out;
 }
 
-bool
-sameStats(const sim::PipeSimStats &a, const sim::PipeSimStats &b)
-{
-    return a.cycles == b.cycles && a.offered == b.offered &&
-           a.accepted == b.accepted && a.lost == b.lost &&
-           a.completed == b.completed && a.flushEvents == b.flushEvents &&
-           a.flushedPackets == b.flushedPackets &&
-           a.replayedStages == b.replayedStages &&
-           a.stallCycles == b.stallCycles;
-}
-
-bool
-sameOutcomes(const std::vector<sim::PacketOutcome> &a,
-             const std::vector<sim::PacketOutcome> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const sim::PacketOutcome &x = a[i];
-        const sim::PacketOutcome &y = b[i];
-        if (x.id != y.id || x.action != y.action ||
-            x.redirectIfindex != y.redirectIfindex ||
-            x.trapped != y.trapped || x.entryCycle != y.entryCycle ||
-            x.exitCycle != y.exitCycle || x.bytes != y.bytes)
-            return false;
-    }
-    return true;
-}
-
 /** Full behavioural parity: stats, per-packet outcomes, map contents. */
 bool
 parity(const EngineRun &a, const EngineRun &b)
 {
-    return sameStats(a.stats, b.stats) &&
-           sameOutcomes(a.outcomes, b.outcomes) &&
+    return counters::firstContractedDiff(a.stats, b.stats).empty() &&
+           a.outcomes == b.outcomes &&
            ebpf::MapSet::equal(a.maps, b.maps);
 }
 

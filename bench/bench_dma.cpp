@@ -14,7 +14,7 @@
  * under the distinct backpressure counter.
  *
  * Emits BENCH_dma.json with one row per swept rate: offered/goodput
- * Mpps, drop share, interrupt moderation counters and per-queue posted
+ * Mpps, drop share, the summed host counters and per-queue posted
  * ring-occupancy p50/p99. EHDL_BENCH_QUICK=1 shrinks the workload for CI
  * smoke runs.
  */
@@ -41,13 +41,8 @@ struct RateRow
     double hostRateMpps = 0.0;   ///< per-queue service rate swept
     double offeredMpps = 0.0;    ///< PASS retirements / sim time
     double goodputMpps = 0.0;    ///< host-consumed / drain time
-    uint64_t enqueued = 0;
-    uint64_t consumed = 0;
-    uint64_t shellDrops = 0;
     double dropPct = 0.0;
-    uint64_t interrupts = 0;
-    uint64_t countIrqs = 0;
-    uint64_t timerIrqs = 0;
+    host::HostQueueCounters totals;  ///< summed across queues
     std::vector<unsigned> occP50;  ///< per-queue posted-ring occupancy
     std::vector<unsigned> occP99;
 };
@@ -86,10 +81,7 @@ runRate(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     multi.drain();
     const uint64_t drain_cycle = host.finishAll();
 
-    uint64_t sim_cycles = 0;
-    for (unsigned r = 0; r < kQueues; ++r)
-        sim_cycles = std::max(sim_cycles, multi.replica(r).stats().cycles);
-
+    const uint64_t sim_cycles = multi.stats().cycles;
     const host::HostQueueCounters t = host.totals();
     RateRow row;
     row.hostRateMpps = host_rate_mpps;
@@ -101,16 +93,11 @@ runRate(const apps::AppSpec &spec, const hdl::Pipeline &pipe,
     };
     row.offeredMpps = mpps(t.enqueued, sim_cycles);
     row.goodputMpps = mpps(t.consumed, std::max(drain_cycle, sim_cycles));
-    row.enqueued = t.enqueued;
-    row.consumed = t.consumed;
-    row.shellDrops = t.shellDrops;
     row.dropPct = t.enqueued == 0
                       ? 0.0
                       : static_cast<double>(t.shellDrops) /
                             static_cast<double>(t.enqueued) * 100.0;
-    row.interrupts = t.interrupts;
-    row.countIrqs = t.countTriggeredIrqs;
-    row.timerIrqs = t.timerTriggeredIrqs;
+    row.totals = t;
     for (unsigned q = 0; q < kQueues; ++q) {
         row.occP50.push_back(host.queue(q).occupancyPercentile(0.50));
         row.occP99.push_back(host.queue(q).occupancyPercentile(0.99));
@@ -147,23 +134,18 @@ main()
         std::printf("%12.2f %10.3f %10.3f %8.2f %10llu %10llu %8u %8u\n",
                     r.hostRateMpps, r.offeredMpps, r.goodputMpps,
                     r.dropPct,
-                    static_cast<unsigned long long>(r.interrupts),
-                    static_cast<unsigned long long>(r.timerIrqs),
+                    static_cast<unsigned long long>(r.totals.interrupts),
+                    static_cast<unsigned long long>(
+                        r.totals.timerTriggeredIrqs),
                     r.occP50[0], r.occP99[0]);
 
     Json series = Json::array();
     for (const RateRow &r : rows) {
-        Json row;
+        Json row = counters::toJson(r.totals);
         row.set("hostRateMpps", Json::num(r.hostRateMpps))
             .set("offeredPassMpps", Json::num(r.offeredMpps))
             .set("goodputMpps", Json::num(r.goodputMpps))
-            .set("enqueued", Json::integer(r.enqueued))
-            .set("consumed", Json::integer(r.consumed))
-            .set("shellDrops", Json::integer(r.shellDrops))
-            .set("dropPct", Json::num(r.dropPct))
-            .set("interrupts", Json::integer(r.interrupts))
-            .set("countTriggeredIrqs", Json::integer(r.countIrqs))
-            .set("timerTriggeredIrqs", Json::integer(r.timerIrqs));
+            .set("dropPct", Json::num(r.dropPct));
         Json p50 = Json::array();
         Json p99 = Json::array();
         for (unsigned q = 0; q < kQueues; ++q) {

@@ -70,18 +70,6 @@ struct Effects
      * nothing but R0).
      */
     bool isExit = false;
-
-    bool
-    usesReg(unsigned r) const
-    {
-        return (regUses >> r) & 1;
-    }
-
-    bool
-    defsReg(unsigned r) const
-    {
-        return (regDefs >> r) & 1;
-    }
 };
 
 /**

@@ -27,14 +27,6 @@ struct RowLiveness
     uint16_t regsIn = 0;
     /** Stack bytes live-in. */
     std::bitset<ebpf::kStackSize> stackIn;
-
-    unsigned
-    numRegs() const
-    {
-        return static_cast<unsigned>(__builtin_popcount(regsIn));
-    }
-
-    size_t stackBytes() const { return stackIn.count(); }
 };
 
 /** Per-block, per-row liveness (indices match Schedule::blocks). */

@@ -1,20 +1,6 @@
 #include "common/logging.hpp"
 
-#include <iostream>
-
 namespace ehdl {
-
-void
-warn(const std::string &msg)
-{
-    std::cerr << "warn: " << msg << "\n";
-}
-
-void
-inform(const std::string &msg)
-{
-    std::cerr << "info: " << msg << "\n";
-}
 
 const char *
 severityName(Severity severity)

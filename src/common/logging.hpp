@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal logging and fatal-error facilities, in the spirit of gem5's
- * panic()/fatal()/warn() trio. panic() flags internal invariant violations
- * (a bug in eHDL itself), fatal() flags unusable user input.
+ * Minimal fatal-error facilities, in the spirit of gem5's panic() and
+ * fatal(). panic() flags internal invariant violations (a bug in eHDL
+ * itself), fatal() flags unusable user input.
  */
 
 #ifndef EHDL_COMMON_LOGGING_HPP_
@@ -58,16 +58,10 @@ panic(Args &&...args)
     throw PanicError(detail::formatParts(std::forward<Args>(args)...));
 }
 
-/** Print a warning to stderr (does not stop execution). */
-void warn(const std::string &msg);
-
-/** Print an informational message to stderr. */
-void inform(const std::string &msg);
-
 /**
- * Message severity shared by the streaming loggers above and the
- * structured Diagnostics sink (common/diagnostics.hpp). Errors make the
- * producing operation fail; warnings and notes never do.
+ * Message severity of the structured Diagnostics sink
+ * (common/diagnostics.hpp). Errors make the producing operation fail;
+ * warnings and notes never do.
  */
 enum class Severity : uint8_t { Note, Warning, Error };
 

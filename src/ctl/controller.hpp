@@ -153,7 +153,6 @@ class CtlController
      * serves replica r). @p host must outlive the controller's run().
      */
     void attachHost(host::HostDatapath *host) { host_ = host; }
-    host::HostDatapath *attachedHost() const { return host_; }
 
     /**
      * Execute @p sched to completion and return the apply log. Remaining

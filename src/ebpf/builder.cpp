@@ -61,35 +61,6 @@ ProgramBuilder::aluReg(AluOp op, unsigned dst, unsigned src)
 }
 
 ProgramBuilder &
-ProgramBuilder::neg(unsigned dst)
-{
-    Insn i;
-    i.opcode = makeAluOpcode(InsnClass::Alu64, AluOp::Neg, SrcKind::K);
-    i.dst = dst;
-    return push(i);
-}
-
-ProgramBuilder &
-ProgramBuilder::mov32(unsigned dst, int32_t imm)
-{
-    Insn i;
-    i.opcode = makeAluOpcode(InsnClass::Alu, AluOp::Mov, SrcKind::K);
-    i.dst = dst;
-    i.imm = imm;
-    return push(i);
-}
-
-ProgramBuilder &
-ProgramBuilder::mov32Reg(unsigned dst, unsigned src)
-{
-    Insn i;
-    i.opcode = makeAluOpcode(InsnClass::Alu, AluOp::Mov, SrcKind::X);
-    i.dst = dst;
-    i.src = src;
-    return push(i);
-}
-
-ProgramBuilder &
 ProgramBuilder::alu32(AluOp op, unsigned dst, int32_t imm)
 {
     Insn i;

@@ -41,13 +41,9 @@ class ProgramBuilder
     ProgramBuilder &alu(AluOp op, unsigned dst, int64_t imm);
     /** r[dst] op= r[src]. */
     ProgramBuilder &aluReg(AluOp op, unsigned dst, unsigned src);
-    /** r[dst] = -r[dst]. */
-    ProgramBuilder &neg(unsigned dst);
 
     // --- ALU32 (w registers) ------------------------------------------
 
-    ProgramBuilder &mov32(unsigned dst, int32_t imm);
-    ProgramBuilder &mov32Reg(unsigned dst, unsigned src);
     ProgramBuilder &alu32(AluOp op, unsigned dst, int32_t imm);
     ProgramBuilder &alu32Reg(AluOp op, unsigned dst, unsigned src);
 

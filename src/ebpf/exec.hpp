@@ -261,8 +261,6 @@ class ExecState
     void checkpointDirtyInto(Checkpoint &cp, uint16_t live_regs,
                              const std::vector<uint16_t> &live_slots);
 
-    uint16_t dirtyRegs() const { return dirtyRegs_; }
-    uint64_t dirtyStack() const { return dirtyStack_; }
     bool pktDirty() const { return pktDirty_; }
     void setPktDirty(bool dirty) { pktDirty_ = dirty; }
 

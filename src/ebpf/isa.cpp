@@ -13,28 +13,6 @@ regName(unsigned reg)
 }
 
 std::string
-aluOpName(AluOp op)
-{
-    switch (op) {
-      case AluOp::Add: return "add";
-      case AluOp::Sub: return "sub";
-      case AluOp::Mul: return "mul";
-      case AluOp::Div: return "div";
-      case AluOp::Or: return "or";
-      case AluOp::And: return "and";
-      case AluOp::Lsh: return "lsh";
-      case AluOp::Rsh: return "rsh";
-      case AluOp::Neg: return "neg";
-      case AluOp::Mod: return "mod";
-      case AluOp::Xor: return "xor";
-      case AluOp::Mov: return "mov";
-      case AluOp::Arsh: return "arsh";
-      case AluOp::End: return "end";
-    }
-    return "?";
-}
-
-std::string
 jmpOpSymbol(JmpOp op)
 {
     switch (op) {

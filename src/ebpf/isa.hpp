@@ -235,9 +235,6 @@ makeMemOpcode(InsnClass cls, MemMode mode, MemSize size)
 /** Human-readable register name ("r0".."r10"). */
 std::string regName(unsigned reg);
 
-/** Mnemonic for an ALU op ("add", "mov", ...). */
-std::string aluOpName(AluOp op);
-
 /** Comparison symbol for a conditional jump ("==", "s>", ...). */
 std::string jmpOpSymbol(JmpOp op);
 

@@ -5,6 +5,7 @@
 
 #include "common/logging.hpp"
 #include "ebpf/codec.hpp"
+#include "ebpf/verifier.hpp"
 
 namespace ehdl::fuzz {
 
@@ -266,6 +267,12 @@ parseCase(const std::string &text)
         c.ctl = ctl::parseSchedule(ctl_text);
     c.prog.insns = ebpf::decode(wire);
     c.prog.name = c.name;
+    // The golden VM runs the program as loaded, so only verified bytecode
+    // loads: an out-of-range register would index past its register file.
+    const ebpf::VerifyResult vr =
+        ebpf::verify(c.prog, /*allow_backward_jumps=*/true);
+    if (!vr.ok)
+        fatal("ehdlcase: program fails verification: ", vr.errors.front());
     return c;
 }
 

@@ -63,7 +63,7 @@ std::string serializeCase(const FuzzCase &c);
 
 /**
  * Parse the `.ehdlcase` text format.
- * @throw FatalError on malformed input.
+ * @throw FatalError on malformed input or a program the verifier rejects.
  */
 FuzzCase parseCase(const std::string &text);
 

@@ -9,7 +9,6 @@
 #include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "host/host_dma.hpp"
-#include "sim/baselines.hpp"
 #include "sim/multi_pipe_sim.hpp"
 
 namespace ehdl::fuzz {
@@ -242,7 +241,6 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
             ctl::CtlController ctrl(sim, pipe_maps, opts.ctlChannel);
             const ctl::CtlRunReport report = ctrl.run(c.ctl);
             sim.drain();
-            result.flushEvents = sim.stats().flushEvents;
             result.pipeStats = sim.stats();
             result.engineInfo = sim.engineInfo();
             if (auto d = compareCtlReplica("pipeline", c, packets, report,
@@ -373,43 +371,7 @@ runCase(const FuzzCase &c, const RunOptions &opts)
         }
     }
 
-    // Backend 2: the hXDP baseline executes the same bytecode sequentially
-    // on its VLIW processor model — semantically the VM over its own maps.
-    if (opts.runHxdp) {
-        ebpf::MapSet hx_maps(c.prog.maps);
-        try {
-            sim::HxdpModel model(c.prog);  // exercises VLIW scheduling
-            (void)model;
-            ebpf::Vm vm(c.prog, hx_maps);
-            for (const net::Packet &pkt : packets) {
-                net::Packet copy = pkt;
-                const ebpf::ExecResult r = vm.run(copy);
-                const RefOutcome &golden = ref.at(pkt.id);
-                if (auto d = comparePacket("hxdp", pkt.id, golden, r.action,
-                                           r.trapped, r.redirectIfindex,
-                                           copy.bytes())) {
-                    result.divergence = std::move(d);
-                    return result;
-                }
-            }
-            if (!ebpf::MapSet::equal(vm_maps, hx_maps)) {
-                result.divergence =
-                    wholeRun("hxdp", "maps", "final map state differs");
-                return result;
-            }
-        } catch (const PanicError &e) {
-            result.divergence = wholeRun("hxdp", "panic", e.what());
-            return result;
-        } catch (const FatalError &e) {
-            // The baseline cannot build this program (same front end as
-            // the pipeline compiler): fail-closed rejection.
-            result.rejectReason = e.what();
-            result.rejectPass = "hxdp-frontend";
-            return result;
-        }
-    }
-
-    // Backend 3: the compiled pipeline under cycle-level simulation.
+    // The compiled pipeline under cycle-level simulation.
     // Rejections come back as structured diagnostics (never process
     // death): the pass that raised the first error classifies the case.
     hdl::CompileResult compiled = hdl::compileWithReport(c.prog, c.options);
@@ -449,7 +411,6 @@ runCase(const FuzzCase &c, const RunOptions &opts)
                 return result;
             }
         }
-        result.flushEvents = sim.stats().flushEvents;
         result.pipeStats = sim.stats();
         result.engineInfo = sim.engineInfo();
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * The differential executor: runs one FuzzCase through the three backends —
- * the sequential reference VM (the golden model), the compiled pipeline in
- * sim::PipeSim, and the hXDP baseline's sequential execution engine — and
- * reports the first observable divergence in per-packet XDP verdicts,
- * rewritten packet bytes, redirect targets, or final map state.
+ * The differential executor: runs one FuzzCase through the sequential
+ * reference VM (the golden model) and the compiled pipeline in
+ * sim::PipeSim, and reports the first observable divergence in per-packet
+ * XDP verdicts, rewritten packet bytes, redirect targets, or final map
+ * state.
  *
  * The pipeline claim under test is the paper's section 4.1 equivalence:
  * whatever hdl::compile accepts must be observationally equal to the VM.
@@ -16,8 +16,7 @@
  * PipeSim and a sharded MultiPipeSim through CtlController, and the VM
  * reference comes from replaying the recorded apply log at the same packet
  * boundaries (ctl::replayScheduleOnVm) — verdicts, rewritten bytes, host
- * op results and final map state must all agree. The hXDP backend is
- * skipped for such cases (its sequential engine has no update timing).
+ * op results and final map state must all agree.
  */
 
 #ifndef EHDL_FUZZ_DIFF_HPP_
@@ -36,7 +35,7 @@ namespace ehdl::fuzz {
 /** One observed disagreement between a backend and the reference VM. */
 struct Divergence
 {
-    std::string backend;  ///< "pipeline" or "hxdp"
+    std::string backend;  ///< "pipeline" or "multi"
     /** Packet on which the disagreement surfaced (0 for whole-run fields). */
     uint64_t packetId = 0;
     /**
@@ -59,17 +58,14 @@ struct CaseResult
     /**
      * Pass that rejected the program ("" when compiled). Structured
      * classification straight from the compiler's Diagnostics — the
-     * fuzzer aggregates rejection counts per pass with it. The special
-     * value "hxdp-frontend" marks rejections raised while building the
-     * hXDP baseline before the pipeline compiler ever ran.
+     * fuzzer aggregates rejection counts per pass with it.
      */
     std::string rejectPass;
 
     std::optional<Divergence> divergence;
 
-    /** Pipeline shape/behaviour statistics (when compiled). */
+    /** Pipeline depth (when compiled). */
     size_t numStages = 0;
-    uint64_t flushEvents = 0;
     /** Total instructions the reference VM executed over the workload. */
     uint64_t vmInsns = 0;
     /** Full counters of the single-pipeline backend run (when compiled). */
@@ -83,8 +79,6 @@ struct CaseResult
 /** Executor knobs. */
 struct RunOptions
 {
-    /** Also cross-check the hXDP baseline's execution engine. */
-    bool runHxdp = true;
     /** Input queue depth for the pipeline simulator (large: no losses). */
     size_t inputQueueCapacity = 1u << 20;
     /**

@@ -325,51 +325,9 @@ HostQueueCounters
 HostDatapath::totals() const
 {
     HostQueueCounters t;
-    for (const auto &q : queues_) {
-        const HostQueueCounters &c = q->counters();
-        t.enqueued += c.enqueued;
-        t.shellDrops += c.shellDrops;
-        t.dmaBursts += c.dmaBursts;
-        t.dmaDescriptors += c.dmaDescriptors;
-        t.dmaBytes += c.dmaBytes;
-        t.interrupts += c.interrupts;
-        t.countTriggeredIrqs += c.countTriggeredIrqs;
-        t.timerTriggeredIrqs += c.timerTriggeredIrqs;
-        t.consumed += c.consumed;
-        t.consumedBytes += c.consumedBytes;
-        t.txInjected += c.txInjected;
-        t.txBytes += c.txBytes;
-        t.txEmitted += c.txEmitted;
-        t.txRingDrops += c.txRingDrops;
-        t.fifoOccupancy += c.fifoOccupancy;
-        t.ringOccupancy += c.ringOccupancy;
-        t.visibleDescriptors += c.visibleDescriptors;
-    }
+    for (const auto &q : queues_)
+        counters::mergeInto(t, q->counters());
     return t;
-}
-
-Json
-hostQueueJson(const HostQueueCounters &c)
-{
-    Json j;
-    j.set("enqueued", Json::integer(c.enqueued))
-        .set("shellDrops", Json::integer(c.shellDrops))
-        .set("dmaBursts", Json::integer(c.dmaBursts))
-        .set("dmaDescriptors", Json::integer(c.dmaDescriptors))
-        .set("dmaBytes", Json::integer(c.dmaBytes))
-        .set("interrupts", Json::integer(c.interrupts))
-        .set("countTriggeredIrqs", Json::integer(c.countTriggeredIrqs))
-        .set("timerTriggeredIrqs", Json::integer(c.timerTriggeredIrqs))
-        .set("consumed", Json::integer(c.consumed))
-        .set("consumedBytes", Json::integer(c.consumedBytes))
-        .set("txInjected", Json::integer(c.txInjected))
-        .set("txBytes", Json::integer(c.txBytes))
-        .set("txEmitted", Json::integer(c.txEmitted))
-        .set("txRingDrops", Json::integer(c.txRingDrops))
-        .set("fifoOccupancy", Json::integer(c.fifoOccupancy))
-        .set("ringOccupancy", Json::integer(c.ringOccupancy))
-        .set("visibleDescriptors", Json::integer(c.visibleDescriptors));
-    return j;
 }
 
 Json
@@ -392,7 +350,7 @@ hostDatapathJson(const HostDatapath &host)
     Json queues = Json::array();
     for (unsigned q = 0; q < host.numQueues(); ++q) {
         const HostQueue &hq = host.queue(q);
-        Json row = hostQueueJson(hq.counters());
+        Json row = counters::toJson(hq.counters());
         row.set("queue", Json::integer(q))
             .set("occupancyP50",
                  Json::integer(hq.occupancyPercentile(0.50)))
@@ -404,7 +362,7 @@ hostDatapathJson(const HostDatapath &host)
     Json j;
     j.set("config", std::move(config))
         .set("queues", std::move(queues))
-        .set("totals", hostQueueJson(host.totals()));
+        .set("totals", counters::toJson(host.totals()));
     return j;
 }
 

@@ -43,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/json.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/pipe_sim.hpp"
@@ -114,6 +115,38 @@ struct HostQueueCounters
 };
 
 /**
+ * Registry of HostQueueCounters (common/counters.hpp). The host model
+ * only observes retirements, so every counter is contracted. Queues sum,
+ * occupancies too.
+ */
+constexpr auto
+counterFields(counters::Of<HostQueueCounters>)
+{
+    using H = HostQueueCounters;
+    using counters::Field;
+    constexpr auto C = counters::Status::Contracted;
+    return std::tuple{
+        Field{"enqueued", &H::enqueued, C},
+        Field{"shellDrops", &H::shellDrops, C},
+        Field{"dmaBursts", &H::dmaBursts, C},
+        Field{"dmaDescriptors", &H::dmaDescriptors, C},
+        Field{"dmaBytes", &H::dmaBytes, C},
+        Field{"interrupts", &H::interrupts, C},
+        Field{"countTriggeredIrqs", &H::countTriggeredIrqs, C},
+        Field{"timerTriggeredIrqs", &H::timerTriggeredIrqs, C},
+        Field{"consumed", &H::consumed, C},
+        Field{"consumedBytes", &H::consumedBytes, C},
+        Field{"txInjected", &H::txInjected, C},
+        Field{"txBytes", &H::txBytes, C},
+        Field{"txEmitted", &H::txEmitted, C},
+        Field{"txRingDrops", &H::txRingDrops, C},
+        Field{"fifoOccupancy", &H::fifoOccupancy, C},
+        Field{"ringOccupancy", &H::ringOccupancy, C},
+        Field{"visibleDescriptors", &H::visibleDescriptors, C},
+    };
+}
+
+/**
  * One host queue: shell FIFO, DMA engine, RX/TX rings, coalescing state
  * and the host consumer, advanced lazily to the cycle of each observed
  * event. Implements sim::RetireSink so it can hang directly off a
@@ -141,7 +174,6 @@ class HostQueue final : public sim::RetireSink
 
     const HostQueueCounters &counters() const { return counters_; }
     unsigned index() const { return index_; }
-    uint64_t nowCycle() const { return now_; }
 
     /**
      * Cycle-weighted percentile of posted RX-ring occupancy (0..depth),
@@ -225,9 +257,6 @@ class HostDatapath
     HostDmaConfig config_;
     std::vector<std::unique_ptr<HostQueue>> queues_;
 };
-
-/** Render one queue's counters as JSON (stable key order). */
-Json hostQueueJson(const HostQueueCounters &c);
 
 /**
  * Render the whole host datapath as JSON: config echo, per-queue counters

@@ -115,14 +115,4 @@ PacketFactory::etherType(const Packet &pkt)
     return loadBe<uint16_t>(pkt.data() + 12);
 }
 
-void
-PacketFactory::fixIpv4Checksum(Packet &pkt, uint32_t ip_off)
-{
-    if (pkt.size() < ip_off + kIpv4HdrLen)
-        panic("fixIpv4Checksum: packet too short");
-    uint8_t *ip = pkt.data() + ip_off;
-    storeBe<uint16_t>(ip + 10, 0);
-    storeBe<uint16_t>(ip + 10, internetChecksum(ip, (ip[0] & 0xf) * 4));
-}
-
 }  // namespace ehdl::net

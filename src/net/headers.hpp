@@ -90,9 +90,6 @@ class PacketFactory
 
     /** Read the EtherType field (host order). */
     static uint16_t etherType(const Packet &pkt);
-
-    /** Recompute the IPv4 header checksum in place. */
-    static void fixIpv4Checksum(Packet &pkt, uint32_t ip_off = kEthHdrLen);
 };
 
 }  // namespace ehdl::net

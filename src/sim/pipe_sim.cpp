@@ -1580,22 +1580,10 @@ PipeSim::holdInjection(bool hold)
 }
 
 bool
-PipeSim::injectionHeld() const
-{
-    return impl_->injectHold;
-}
-
-bool
 PipeSim::pipelineEmpty() const
 {
     return impl_->occupiedSlots == 0 && impl_->replayCount == 0 &&
            impl_->pendingWriteCount == 0;
-}
-
-size_t
-PipeSim::queuedInput() const
-{
-    return impl_->inputQueue.size();
 }
 
 void

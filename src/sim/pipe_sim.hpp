@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "ebpf/maps.hpp"
 #include "ebpf/xdp.hpp"
 #include "hdl/pipeline.hpp"
@@ -117,6 +118,24 @@ struct PipeSimPhaseProfile
     double flushSec = 0;          ///< flush harvest + checkpoint restore
 };
 
+/** Registry of PipeSimPhaseProfile (common/counters.hpp): all host time. */
+constexpr auto
+counterFields(counters::Of<PipeSimPhaseProfile>)
+{
+    using P = PipeSimPhaseProfile;
+    using counters::Field;
+    constexpr auto D = counters::Status::Diagnostic;
+    return std::tuple{
+        Field{"enabled", &P::enabled, D, counters::Merge::Max},
+        Field{"executeSec", &P::executeSec, D},
+        Field{"hazardSec", &P::hazardSec, D},
+        Field{"checkpointSec", &P::checkpointSec, D},
+        Field{"commitSec", &P::commitSec, D},
+        Field{"advanceRetireSec", &P::advanceRetireSec, D},
+        Field{"flushSec", &P::flushSec, D},
+    };
+}
+
 /** The engine actually running (tools report this in their stats). */
 struct EngineInfo
 {
@@ -172,9 +191,11 @@ struct PacketOutcome
     uint64_t entryCycle = 0;
     uint64_t exitCycle = 0;
     std::vector<uint8_t> bytes;  ///< final packet contents
+
+    bool operator==(const PacketOutcome &) const = default;
 };
 
-/** Aggregate counters. */
+/** Aggregate counters; the registry below declares their contract. */
 struct PipeSimStats
 {
     uint64_t cycles = 0;
@@ -187,20 +208,14 @@ struct PipeSimStats
     uint64_t replayedStages = 0;
     uint64_t stallCycles = 0;
 
-    // Per-verdict retirement counters. Verdicts are part of the
-    // bit-identical three-way contract, so these are contracted too:
-    // they must match across engines, sched modes and the reference VM.
+    // Per-verdict retirement counters.
     uint64_t passPackets = 0;
     uint64_t dropPackets = 0;
     uint64_t txPackets = 0;
     uint64_t redirectPackets = 0;
     uint64_t abortedPackets = 0;
 
-    // Incremental-core instrumentation. These do not alter modeled
-    // behavior, and the hazard counters legitimately differ between the
-    // interpreter and the AOT engine (the specializer prunes read
-    // recording), so they are *not* part of the bit-identical parity
-    // contract the three-way tests enforce over the counters above.
+    // Incremental-core instrumentation.
     uint64_t hazardChecks = 0;         ///< window slots examined
     uint64_t hazardSummarySkips = 0;   ///< slots cleared by the summary
     uint64_t hazardPreciseScans = 0;   ///< slots needing the full scan
@@ -222,6 +237,47 @@ struct PipeSimStats
         return static_cast<double>(completed) / seconds / 1e6;
     }
 };
+
+/**
+ * Registry of PipeSimStats (common/counters.hpp). Timing and verdicts
+ * are part of the bit-identical three-way contract. The incremental-core
+ * instrumentation does not alter modeled behavior and legitimately
+ * differs between engines (the specializer prunes read recording).
+ * Replicas run concurrently, so cycles merge by max.
+ */
+constexpr auto
+counterFields(counters::Of<PipeSimStats>)
+{
+    using S = PipeSimStats;
+    using counters::Field;
+    constexpr auto C = counters::Status::Contracted;
+    constexpr auto D = counters::Status::Diagnostic;
+    return std::tuple{
+        Field{"cycles", &S::cycles, C, counters::Merge::Max},
+        Field{"offered", &S::offered, C},
+        Field{"accepted", &S::accepted, C},
+        Field{"lost", &S::lost, C},
+        Field{"completed", &S::completed, C},
+        Field{"flushEvents", &S::flushEvents, C},
+        Field{"flushedPackets", &S::flushedPackets, C},
+        Field{"replayedStages", &S::replayedStages, C},
+        Field{"stallCycles", &S::stallCycles, C},
+        Field{"passPackets", &S::passPackets, C},
+        Field{"dropPackets", &S::dropPackets, C},
+        Field{"txPackets", &S::txPackets, C},
+        Field{"redirectPackets", &S::redirectPackets, C},
+        Field{"abortedPackets", &S::abortedPackets, C},
+        Field{"hazardChecks", &S::hazardChecks, D},
+        Field{"hazardSummarySkips", &S::hazardSummarySkips, D},
+        Field{"hazardPreciseScans", &S::hazardPreciseScans, D},
+        Field{"commitBatches", &S::commitBatches, D},
+        Field{"committedWrites", &S::committedWrites, D},
+        Field{"checkpointsTaken", &S::checkpointsTaken, D},
+        Field{"checkpointsMaterialized", &S::checkpointsMaterialized, D},
+        Field{"eventJumps", &S::eventJumps, D},
+        Field{"eventSkippedCycles", &S::eventSkippedCycles, D},
+    };
+}
 
 /**
  * The simulator. Offer packets (in arrival order), then drain().
@@ -268,7 +324,6 @@ class PipeSim
      * keep accumulating in the input queue (the NIC keeps receiving).
      */
     void holdInjection(bool hold);
-    bool injectionHeld() const;
 
     /**
      * True when no packet occupies a pipeline stage, awaits flush
@@ -281,9 +336,6 @@ class PipeSim
 
     /** Current simulated cycle (stats().cycles). */
     uint64_t cycle() const { return stats_.cycles; }
-
-    /** Packets waiting in the input queue (admitted by offer()). */
-    size_t queuedInput() const;
 
     /**
      * Cap the idle fast-forward: step() never jumps the cycle counter
@@ -312,7 +364,6 @@ class PipeSim
      * swapPipeline. It must outlive the simulator or be detached first.
      */
     void attachRetireSink(RetireSink *sink) { retireSink_ = sink; }
-    RetireSink *retireSink() const { return retireSink_; }
 
     const std::vector<PacketOutcome> &outcomes() const { return outcomes_; }
     const PipeSimStats &stats() const { return stats_; }

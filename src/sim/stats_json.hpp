@@ -4,9 +4,9 @@
  *
  * Every tool that emits machine-readable stats (`ehdlc sim --stats-out`,
  * `ehdl-fuzz --stats-out`, `ehdl-ctl --stats-out`) and the benchmark
- * writers go through these helpers, so the counter names — including the
- * incremental-core instrumentation added with the event-driven cycle
- * engine — stay uniform across the toolchain.
+ * writers go through these helpers. Counter names come from the counter
+ * registries (common/counters.hpp), so they stay uniform across the
+ * toolchain.
  */
 
 #ifndef EHDL_SIM_STATS_JSON_HPP_
@@ -14,45 +14,18 @@
 
 #include <cstdint>
 
+#include "common/counters.hpp"
 #include "common/json.hpp"
 #include "sim/pipe_sim.hpp"
 
 namespace ehdl::sim {
 
-/**
- * Render @p s as an ordered JSON object. The first eight keys predate
- * the incremental core and keep their order for diff stability; the
- * instrumentation counters follow.
- */
+/** Every registered counter of @p s, then the forwarding rate, as JSON. */
 inline Json
 statsJson(const PipeSimStats &s, uint64_t clock_hz)
 {
-    Json j;
-    j.set("cycles", Json::integer(s.cycles))
-        .set("offered", Json::integer(s.offered))
-        .set("accepted", Json::integer(s.accepted))
-        .set("lost", Json::integer(s.lost))
-        .set("completed", Json::integer(s.completed))
-        .set("flushEvents", Json::integer(s.flushEvents))
-        .set("stallCycles", Json::integer(s.stallCycles))
-        .set("throughputMpps", Json::num(s.throughputMpps(clock_hz)))
-        .set("flushedPackets", Json::integer(s.flushedPackets))
-        .set("replayedStages", Json::integer(s.replayedStages))
-        .set("passPackets", Json::integer(s.passPackets))
-        .set("dropPackets", Json::integer(s.dropPackets))
-        .set("txPackets", Json::integer(s.txPackets))
-        .set("redirectPackets", Json::integer(s.redirectPackets))
-        .set("abortedPackets", Json::integer(s.abortedPackets))
-        .set("hazardChecks", Json::integer(s.hazardChecks))
-        .set("hazardSummarySkips", Json::integer(s.hazardSummarySkips))
-        .set("hazardPreciseScans", Json::integer(s.hazardPreciseScans))
-        .set("commitBatches", Json::integer(s.commitBatches))
-        .set("committedWrites", Json::integer(s.committedWrites))
-        .set("checkpointsTaken", Json::integer(s.checkpointsTaken))
-        .set("checkpointsMaterialized",
-             Json::integer(s.checkpointsMaterialized))
-        .set("eventJumps", Json::integer(s.eventJumps))
-        .set("eventSkippedCycles", Json::integer(s.eventSkippedCycles));
+    Json j = counters::toJson(s);
+    j.set("throughputMpps", Json::num(s.throughputMpps(clock_hz)));
     return j;
 }
 
@@ -65,21 +38,6 @@ engineJson(const EngineInfo &info)
         .set("nativeLoaded", Json::boolean(info.nativeLoaded));
     if (!info.fallbackReason.empty())
         j.set("fallbackReason", Json::str(info.fallbackReason));
-    return j;
-}
-
-/** Render a per-phase host-time profile (seconds per phase) as JSON. */
-inline Json
-phaseProfileJson(const PipeSimPhaseProfile &p)
-{
-    Json j;
-    j.set("enabled", Json::boolean(p.enabled))
-        .set("executeSec", Json::num(p.executeSec, 6))
-        .set("hazardSec", Json::num(p.hazardSec, 6))
-        .set("checkpointSec", Json::num(p.checkpointSec, 6))
-        .set("commitSec", Json::num(p.commitSec, 6))
-        .set("advanceRetireSec", Json::num(p.advanceRetireSec, 6))
-        .set("flushSec", Json::num(p.flushSec, 6));
     return j;
 }
 

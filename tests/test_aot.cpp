@@ -27,6 +27,7 @@
 #include "apps/apps.hpp"
 #include "ctl/controller.hpp"
 #include "ebpf/builder.hpp"
+#include "ebpf/helpers.hpp"
 #include "ebpf/maps.hpp"
 #include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
@@ -43,7 +44,10 @@ namespace ehdl::sim {
 namespace {
 
 using apps::AppSpec;
+using ebpf::AluOp;
+using ebpf::JmpOp;
 using ebpf::MapSet;
+using ebpf::MemSize;
 
 // --- workload shapes --------------------------------------------------
 
@@ -110,35 +114,14 @@ runSingle(const AppSpec &spec, const hdl::Pipeline &pipe,
     return out;
 }
 
-void
-expectSameStats(const PipeSimStats &a, const PipeSimStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.lost, b.lost);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.flushEvents, b.flushEvents);
-    EXPECT_EQ(a.flushedPackets, b.flushedPackets);
-    EXPECT_EQ(a.replayedStages, b.replayedStages);
-    EXPECT_EQ(a.stallCycles, b.stallCycles);
-}
-
+/** Outcome-by-outcome equality over every PacketOutcome field. */
 void
 expectSameOutcomes(const std::vector<PacketOutcome> &a,
                    const std::vector<PacketOutcome> &b)
 {
     ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE("outcome " + std::to_string(i));
-        EXPECT_EQ(a[i].id, b[i].id);
-        EXPECT_EQ(a[i].action, b[i].action);
-        EXPECT_EQ(a[i].redirectIfindex, b[i].redirectIfindex);
-        EXPECT_EQ(a[i].trapped, b[i].trapped);
-        EXPECT_EQ(a[i].entryCycle, b[i].entryCycle);
-        EXPECT_EQ(a[i].exitCycle, b[i].exitCycle);
-        EXPECT_EQ(a[i].bytes, b[i].bytes);
-    }
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(a[i] == b[i]) << "outcome " << i << ", id " << a[i].id;
 }
 
 /** VM leg of the three-way check against a sim run's outcomes. */
@@ -161,6 +144,8 @@ expectVmAgreement(const AppSpec &spec,
         const PacketOutcome &out = *by_id.at(pkt.id);
         EXPECT_EQ(static_cast<uint32_t>(ref.action),
                   static_cast<uint32_t>(out.action));
+        EXPECT_EQ(ref.trapped, out.trapped);
+        EXPECT_EQ(ref.trapReason, out.trapReason);
         EXPECT_EQ(ref.redirectIfindex, out.redirectIfindex);
         EXPECT_EQ(copy.bytes(), out.bytes);
     }
@@ -220,7 +205,7 @@ TEST_P(AotConformanceTest, ThreeWaySingleQueue)
     const EngineRun aot = runSingle(spec, pipe, packets, SimEngine::Aot);
 
     ASSERT_EQ(interp.stats.completed, packets.size());
-    expectSameStats(interp.stats, aot.stats);
+    EXPECT_EQ(counters::firstContractedDiff(interp.stats, aot.stats), "");
     expectSameOutcomes(interp.outcomes, aot.outcomes);
     EXPECT_TRUE(MapSet::equal(interp.maps, aot.maps))
         << "interp:\n"
@@ -333,7 +318,7 @@ TEST_P(AotMultiQueueTest, FourReplicasMatchInterp)
 
     ASSERT_EQ(interp.stats.completed, packets.size());
     EXPECT_EQ(aot.info.engine, SimEngine::Aot);
-    expectSameStats(interp.stats, aot.stats);
+    EXPECT_EQ(counters::firstContractedDiff(interp.stats, aot.stats), "");
     expectSameOutcomes(interp.outcomes, aot.outcomes);
     ASSERT_EQ(interp.mapSnapshots.size(), aot.mapSnapshots.size());
     for (size_t i = 0; i < interp.mapSnapshots.size(); ++i) {
@@ -370,7 +355,8 @@ TEST(AotNative, ConformsOrReportsFallback)
             EXPECT_FALSE(native.info.fallbackReason.empty())
                 << "silent native fallback";
         }
-        expectSameStats(interp.stats, native.stats);
+        EXPECT_EQ(counters::firstContractedDiff(interp.stats, native.stats),
+                  "");
         expectSameOutcomes(interp.outcomes, native.outcomes);
         EXPECT_TRUE(MapSet::equal(interp.maps, native.maps));
     }
@@ -396,7 +382,8 @@ TEST(AotNative, DisabledBackendFallsBackWithReason)
     // And the fallback still conforms.
     const EngineRun interp =
         runSingle(spec, pipe, packets, SimEngine::Interp);
-    expectSameStats(interp.stats, native.stats);
+    EXPECT_EQ(counters::firstContractedDiff(interp.stats, native.stats),
+              "");
     expectSameOutcomes(interp.outcomes, native.outcomes);
 }
 
@@ -450,6 +437,85 @@ TEST(AotCodegen, GenerationIsDeterministic)
             aot::generateNativeSource(aot::buildAotSpec(pipe));
         EXPECT_EQ(first, second);
         EXPECT_EQ(aot::sourceHash(first), aot::sourceHash(second));
+    }
+}
+
+// --- trap paths -------------------------------------------------------
+
+/**
+ * Traps on three of every four packets, by the low bits of the UDP source
+ * port: a packet load past the 64-byte frame, a load past the 8-byte map
+ * value, and a 600-byte bpf_csum_diff span over the helper's 512-byte
+ * budget. The verifier accepts all three (bounds are enforced at run
+ * time), so every engine must abort the packets the VM aborts, and why.
+ */
+ebpf::Program
+makeTrapProgram()
+{
+    ebpf::ProgramBuilder b("traps");
+    const uint32_t map = b.addMap({"vals", ebpf::MapKind::Array, 4, 8, 1});
+    b.ldx(MemSize::W, 6, 1, 0);   // data
+    b.ldx(MemSize::B, 7, 6, 35);  // low byte of the UDP source port
+    b.alu(AluOp::And, 7, 3);
+    b.mov(0, 2);  // XDP_PASS
+    b.jcond(JmpOp::Jeq, 7, 3, "out");
+    b.jcond(JmpOp::Jeq, 7, 2, "span");
+    b.jcond(JmpOp::Jeq, 7, 1, "map");
+    b.ldx(MemSize::B, 8, 6, 200);
+    b.exit();
+    b.label("map");
+    b.st(MemSize::W, 10, -4, 0);
+    b.ldMap(1, map);
+    b.movReg(2, 10);
+    b.alu(AluOp::Add, 2, -4);
+    b.call(ebpf::kHelperMapLookup);
+    b.jcond(JmpOp::Jeq, 0, 0, "out");
+    b.ldx(MemSize::B, 8, 0, 8);
+    b.mov(0, 2);
+    b.exit();
+    b.label("span");
+    b.movReg(1, 6);
+    b.mov(2, 600);
+    b.movReg(3, 6);
+    b.mov(4, 0);
+    b.mov(5, 0);
+    b.call(ebpf::kHelperCsumDiff);
+    b.label("out");
+    b.exit();
+    return b.build();
+}
+
+TEST(AotTraps, ThreeWayTrapParity)
+{
+    AppSpec spec;
+    spec.prog = makeTrapProgram();
+    spec.seedMaps = [](MapSet &) {};
+    const hdl::Pipeline pipe = hdl::compile(spec.prog);
+    const std::vector<net::Packet> packets =
+        makeWorkload(spec, kShapes[0], 200);
+
+    const EngineRun interp =
+        runSingle(spec, pipe, packets, SimEngine::Interp);
+    const EngineRun tables = runSingle(spec, pipe, packets, SimEngine::Aot);
+    const EngineRun native = runSingle(spec, pipe, packets, SimEngine::Aot,
+                                       AotBackend::Native);
+
+    std::map<std::string, uint64_t> reasons;
+    for (const PacketOutcome &out : interp.outcomes)
+        ++reasons[out.trapReason];
+    EXPECT_GT(reasons["packet load out of bounds"], 0u);
+    EXPECT_GT(reasons["map value load out of bounds"], 0u);
+    EXPECT_GT(reasons["csum_diff span too large"], 0u);
+    EXPECT_EQ(reasons.size(), 4u);  // the three traps and "" (clean)
+    EXPECT_EQ(interp.stats.abortedPackets, packets.size() - reasons[""]);
+
+    expectVmAgreement(spec, packets, interp);
+    for (const EngineRun *run : {&tables, &native}) {
+        SCOPED_TRACE(run->info.describe());
+        EXPECT_EQ(counters::firstContractedDiff(interp.stats, run->stats),
+                  "");
+        expectSameOutcomes(interp.outcomes, run->outcomes);
+        expectVmAgreement(spec, packets, *run);
     }
 }
 
@@ -531,7 +597,7 @@ TEST(AotCtl, HotSwapUnderLoadMatchesInterp)
     EXPECT_EQ(interp.stats.lost, 0u);
     EXPECT_EQ(aot.info.engine, SimEngine::Aot);
     EXPECT_EQ(interp.boundary, aot.boundary);
-    expectSameStats(interp.stats, aot.stats);
+    EXPECT_EQ(counters::firstContractedDiff(interp.stats, aot.stats), "");
     expectSameOutcomes(interp.outcomes, aot.outcomes);
     ASSERT_GT(aot.boundary, 0u);
     ASSERT_LT(aot.boundary, aot.outcomes.size());
@@ -584,7 +650,7 @@ TEST(AotCtl, SeededAppSwapMatchesInterp)
     const EngineRun interp = run(SimEngine::Interp);
     const EngineRun aot = run(SimEngine::Aot);
     ASSERT_EQ(interp.stats.completed, packets.size());
-    expectSameStats(interp.stats, aot.stats);
+    EXPECT_EQ(counters::firstContractedDiff(interp.stats, aot.stats), "");
     expectSameOutcomes(interp.outcomes, aot.outcomes);
     EXPECT_TRUE(MapSet::equal(interp.maps, aot.maps));
 }

@@ -111,6 +111,11 @@ TEST(FuzzCaseFormat, RejectsMalformedInput)
     std::string text = serializeCase(c);
     text.replace(text.find("insn "), 6, "insn zz");
     EXPECT_THROW(parseCase(text), FatalError);
+    // `r12 = *(u64 *)(r0 + 0)` is well-formed text, but replaying it
+    // would index past the VM's register file: the verifier rejects it.
+    text = serializeCase(c);
+    text.replace(text.find("insn ") + 5, 16, "790c000000000000");
+    EXPECT_THROW(parseCase(text), FatalError);
 }
 
 TEST(FuzzMutate, RemoveInsnRetargetsJumps)
@@ -163,6 +168,13 @@ TEST(FuzzCampaign, CleanPipelineShowsNoDivergence)
     EXPECT_EQ(stats.divergences, 0u);
     EXPECT_GT(stats.compiled, 0u);
     EXPECT_EQ(stats.iterations, 40u);
+    // The campaign totals include the per-verdict counters, which
+    // account for every retired packet.
+    const sim::PipeSimStats &s = stats.pipeAgg;
+    EXPECT_GT(s.completed, 0u);
+    EXPECT_EQ(s.passPackets + s.dropPackets + s.txPackets +
+                  s.redirectPackets + s.abortedPackets,
+              s.completed);
 }
 
 TEST(FuzzCampaign, FindsAndShrinksInjectedWarBug)

@@ -211,7 +211,7 @@ reportJson(const ctl::CtlRunReport &report)
                     sample.set("cycle", Json::integer(s.cycle))
                         .set("stats", statsJson(s.stats, 250'000'000));
                     if (s.hostValid)
-                        sample.set("host", host::hostQueueJson(s.host));
+                        sample.set("host", counters::toJson(s.host));
                     samples.push(std::move(sample));
                 }
                 replicas.push(std::move(samples));

@@ -328,7 +328,7 @@ writeSimStats(const std::string &path, const std::string &prog_name,
         .set("engine", sim::engineJson(engine))
         .set("stats", sim::statsJson(stats, clock_hz));
     if (phases.enabled)
-        root.set("phases", sim::phaseProfileJson(phases));
+        root.set("phases", counters::toJson(phases));
     if (host != nullptr)
         root.set("host", host::hostDatapathJson(*host));
     std::ofstream out(path);
