@@ -1,6 +1,7 @@
 #include "apps/apps.hpp"
 
 #include "common/bitops.hpp"
+#include "common/logging.hpp"
 #include "ebpf/builder.hpp"
 #include "ebpf/helpers.hpp"
 
@@ -1200,6 +1201,32 @@ makeIpipDecap()
     spec.seedMaps = [](ebpf::MapSet &) {};
     spec.expectedAction = XdpAction::Pass;
     return spec;
+}
+
+AppSpec
+findApp(const std::string &name)
+{
+    static const std::pair<const char *, AppSpec (*)()> kApps[] = {
+        {"toy", makeToyCounter},
+        {"firewall", makeSimpleFirewall},
+        {"router", makeRouterIpv4},
+        {"router_ipv4", makeRouterIpv4},
+        {"tunnel", makeTxIpTunnel},
+        {"dnat", makeDnat},
+        {"suricata", makeSuricataFilter},
+        {"leaky_bucket", makeLeakyBucket},
+        {"lb", makeL4LoadBalancer},
+        {"monitor", makeMonitorSampler},
+    };
+    const std::string key =
+        name.rfind("app:", 0) == 0 ? name.substr(4) : name;
+    for (const auto &[app, make] : kApps)
+        if (key == app)
+            return make();
+    std::string known;
+    for (const auto &[app, make] : kApps)
+        known += std::string(known.empty() ? "" : ", ") + app;
+    fatal("unknown built-in app '", name, "' (known: ", known, ")");
 }
 
 std::vector<AppSpec>

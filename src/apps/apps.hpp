@@ -85,6 +85,16 @@ AppSpec makeL4LoadBalancer();
 /** IPIP decapsulator: strips the outer header the tunnel/LB added. */
 AppSpec makeIpipDecap();
 
+/**
+ * The built-in app named @p name, with or without an `app:` prefix: toy,
+ * firewall, router (alias router_ipv4), tunnel, dnat, suricata,
+ * leaky_bucket, lb or monitor. Every tool resolves `app:<name>` here, so
+ * a name means the same program, map seeding and traffic hints in each.
+ *
+ * @throw FatalError listing the known names when @p name is none of them.
+ */
+AppSpec findApp(const std::string &name);
+
 /** The five table-1 applications, in the paper's order. */
 std::vector<AppSpec> paperApps();
 

@@ -8,6 +8,7 @@
 
 #include "common/logging.hpp"
 #include "ebpf/vm.hpp"
+#include "sim/stats_json.hpp"
 
 namespace ehdl::ctl {
 
@@ -416,6 +417,129 @@ replayScheduleOnVm(const ebpf::Program &prog,
     }
     applyDue(UINT64_MAX);  // transactions after the last retirement
     return out;
+}
+
+std::string
+checkReplicaAgainstVm(
+    const ebpf::Program &prog,
+    const std::map<std::string, const ebpf::Program *> &programs,
+    const std::vector<net::Packet> &packets, const CtlRunReport &report,
+    unsigned replica, ebpf::MapSet &vmMaps,
+    const std::vector<sim::PacketOutcome> &outcomes,
+    const ebpf::MapSet &devMaps)
+{
+    const CtlVmReplayResult replay = replayScheduleOnVm(
+        prog, programs, packets, report, replica, vmMaps);
+    using detail::formatParts;
+    if (outcomes.size() != replay.outcomes.size())
+        return formatParts("replica ", replica, " completed ",
+                           outcomes.size(), " packets, VM replay produced ",
+                           replay.outcomes.size());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+        const sim::PacketOutcome &dev = outcomes[i];
+        const CtlVmOutcome &ref = replay.outcomes[i];
+        if (dev.id != ref.id)
+            return formatParts("replica ", replica,
+                               " retire order differs at ", i,
+                               " (pipeline packet ", dev.id, ", vm packet ",
+                               ref.id, ")");
+        if (dev.action != ref.action || dev.trapped != ref.trapped ||
+            dev.redirectIfindex != ref.redirectIfindex ||
+            dev.bytes != ref.bytes)
+            return formatParts("replica ", replica, " diverges on packet ",
+                               dev.id);
+    }
+    for (size_t t = 0; t < report.txns.size(); ++t) {
+        const auto &dev_results = report.txns[t].results;
+        if (replica < dev_results.size() &&
+            dev_results[replica] != replay.txnResults[t])
+            return formatParts("replica ", replica,
+                               " host-op results differ on transaction ", t);
+    }
+    if (!ebpf::MapSet::equal(devMaps, vmMaps))
+        return formatParts("replica ", replica, " final map state differs");
+    return "";
+}
+
+Json
+reportJson(const CtlRunReport &report)
+{
+    const auto hex = [](const std::vector<uint8_t> &bytes) {
+        static const char *digits = "0123456789abcdef";
+        std::string out;
+        for (const uint8_t b : bytes) {
+            out += digits[b >> 4];
+            out += digits[b & 0xf];
+        }
+        return out;
+    };
+    Json txns = Json::array();
+    for (const CtlTxnRecord &rec : report.txns) {
+        Json t;
+        t.set("cycle", Json::integer(rec.txn.cycle))
+            .set("kind", Json::str(ctlOpKindName(rec.txn.kind)))
+            .set("submitCycle", Json::integer(rec.submitCycle))
+            .set("deviceCycle", Json::integer(rec.deviceCycle))
+            .set("completeCycle", Json::integer(rec.completeCycle));
+        Json applies = Json::array();
+        for (const uint64_t c : rec.applyCycle)
+            applies.push(Json::integer(c));
+        t.set("applyCycle", std::move(applies));
+        Json retired = Json::array();
+        for (const uint64_t n : rec.retiredBefore)
+            retired.push(Json::integer(n));
+        t.set("retiredBefore", std::move(retired));
+        if (!rec.results.empty()) {
+            Json replicas = Json::array();
+            for (const auto &ops : rec.results) {
+                Json per_op = Json::array();
+                for (const CtlOpResult &r : ops) {
+                    Json o;
+                    o.set("rc", Json::integer(
+                               static_cast<uint64_t>(r.rc < 0 ? -r.rc
+                                                              : r.rc)));
+                    if (r.rc < 0)
+                        o.set("negative", Json::boolean(true));
+                    if (r.hit || !r.value.empty()) {
+                        o.set("hit", Json::boolean(r.hit));
+                        o.set("value", Json::str(hex(r.value)));
+                    }
+                    per_op.push(std::move(o));
+                }
+                replicas.push(std::move(per_op));
+            }
+            t.set("results", std::move(replicas));
+        }
+        if (!rec.statsSnapshot.empty()) {
+            Json snaps = Json::array();
+            for (const sim::PipeSimStats &s : rec.statsSnapshot)
+                snaps.push(sim::statsJson(s, 250'000'000));
+            t.set("stats", std::move(snaps));
+        }
+        if (!rec.streamSamples.empty()) {
+            // The nfbmeter-style timestamped series, one array of
+            // samples per replica/queue.
+            Json replicas = Json::array();
+            for (const auto &series : rec.streamSamples) {
+                Json samples = Json::array();
+                for (const CtlStreamSample &s : series) {
+                    Json sample;
+                    sample.set("cycle", Json::integer(s.cycle))
+                        .set("stats", sim::statsJson(s.stats, 250'000'000));
+                    if (s.hostValid)
+                        sample.set("host", counters::toJson(s.host));
+                    samples.push(std::move(sample));
+                }
+                replicas.push(std::move(samples));
+            }
+            t.set("streamSamples", std::move(replicas));
+        }
+        txns.push(std::move(t));
+    }
+    Json j;
+    j.set("numReplicas", Json::integer(report.numReplicas))
+        .set("txns", std::move(txns));
+    return j;
 }
 
 }  // namespace ehdl::ctl

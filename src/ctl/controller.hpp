@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "ctl/channel.hpp"
 #include "ctl/command.hpp"
 #include "ebpf/maps.hpp"
@@ -113,6 +114,13 @@ struct CtlRunReport
     unsigned numReplicas = 1;
     std::vector<CtlTxnRecord> txns;
 };
+
+/**
+ * The apply log as JSON (the "report" object of `ehdl-ctl --stats-out`):
+ * per transaction its cycles, per-replica op results, stats snapshots
+ * and stream samples. Map values render as lower-case hex.
+ */
+Json reportJson(const CtlRunReport &report);
 
 /**
  * Executes CtlSchedules. Drive pattern: offer() the traffic to the
@@ -220,6 +228,22 @@ CtlVmReplayResult replayScheduleOnVm(
     const std::map<std::string, const ebpf::Program *> &programs,
     const std::vector<net::Packet> &packets, const CtlRunReport &report,
     unsigned replica, ebpf::MapSet &maps);
+
+/**
+ * Replay @p packets on the VM (replayScheduleOnVm into @p vmMaps, seeded
+ * like the replica's maps were) and compare with what replica @p replica
+ * did: retirement order, verdict, trap, redirect target and bytes of
+ * every packet (@p outcomes), the host-op results of every transaction
+ * and the final maps @p devMaps. Returns the first difference, or ""
+ * when the replica matches its replay.
+ */
+std::string checkReplicaAgainstVm(
+    const ebpf::Program &prog,
+    const std::map<std::string, const ebpf::Program *> &programs,
+    const std::vector<net::Packet> &packets, const CtlRunReport &report,
+    unsigned replica, ebpf::MapSet &vmMaps,
+    const std::vector<sim::PacketOutcome> &outcomes,
+    const ebpf::MapSet &devMaps);
 
 }  // namespace ehdl::ctl
 

@@ -3,9 +3,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/diagnostics.hpp"
 #include "common/logging.hpp"
 #include "ebpf/codec.hpp"
 #include "ebpf/verifier.hpp"
+#include "hdl/compiler.hpp"
 
 namespace ehdl::fuzz {
 
@@ -273,6 +275,10 @@ parseCase(const std::string &text)
         ebpf::verify(c.prog, /*allow_backward_jumps=*/true);
     if (!vr.ok)
         fatal("ehdlcase: program fails verification: ", vr.errors.front());
+    Diagnostics option_errors;
+    hdl::checkOptions(c.options, option_errors);
+    if (const Diagnostic *d = option_errors.firstError())
+        fatal("ehdlcase: ", d->str());
     return c;
 }
 

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/rng.hpp"
+#include "sim/stats_json.hpp"
 #include "sim/traffic.hpp"
 
 namespace ehdl::fuzz {
@@ -184,7 +185,7 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
         }
 
         if (opts.shrink) {
-            const ShrinkResult s = shrinkCase(c, opts.shrinkOpts);
+            const ShrinkResult s = shrinkCase(c, opts.shrinkOpts, opts.run);
             rec.shrunk = s.best;
             rec.divergence = s.divergence;
             rec.shrinkRuns = s.runs;
@@ -212,6 +213,23 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
             break;
     }
     return stats;
+}
+
+Json
+campaignJson(const FuzzStats &stats)
+{
+    Json campaign;
+    campaign.set("iterations", Json::integer(stats.iterations))
+        .set("compiled", Json::integer(stats.compiled))
+        .set("rejected", Json::integer(stats.rejected))
+        .set("divergences", Json::integer(stats.divergences))
+        .set("packetsRun", Json::integer(stats.packetsRun))
+        .set("vmInsns", Json::integer(stats.vmInsns));
+    Json root;
+    root.set("campaign", std::move(campaign))
+        .set("engine", sim::engineJson(stats.engineInfo))
+        .set("pipeStats", sim::statsJson(stats.pipeAgg, 250'000'000));
+    return root;
 }
 
 }  // namespace ehdl::fuzz

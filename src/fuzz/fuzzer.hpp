@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "fuzz/case.hpp"
 #include "fuzz/diff.hpp"
 #include "fuzz/gen.hpp"
@@ -55,6 +56,7 @@ struct FuzzOptions
     bool stopAtFirstDivergence = true;
 
     GeneratorConfig gen;
+    /** Executor knobs for every case and for shrinking its reproducer. */
     RunOptions run;
     ShrinkOptions shrinkOpts;
 };
@@ -110,6 +112,12 @@ FuzzCase makeCase(uint64_t seed, uint64_t iter, const FuzzOptions &opts);
  * non-null. Deterministic for a given FuzzOptions.
  */
 FuzzStats runFuzz(const FuzzOptions &opts, std::ostream *log = nullptr);
+
+/**
+ * The campaign as JSON (`ehdl-fuzz --stats-out`): the campaign counters,
+ * the engine that ran and the summed pipeline counters.
+ */
+Json campaignJson(const FuzzStats &stats);
 
 }  // namespace ehdl::fuzz
 

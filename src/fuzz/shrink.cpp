@@ -14,7 +14,10 @@ namespace {
 class Oracle
 {
   public:
-    Oracle(const ShrinkOptions &opts) : opts_(opts) {}
+    Oracle(const ShrinkOptions &opts, const RunOptions &run)
+        : opts_(opts), run_(run)
+    {
+    }
 
     /** True when @p candidate still verifies and still diverges. */
     bool
@@ -29,7 +32,7 @@ class Oracle
         ++runs_;
         CaseResult r;
         try {
-            r = runCase(candidate, opts_.run);
+            r = runCase(candidate, run_);
         } catch (const FatalError &) {
             // Mutation produced a program some backend refuses outright
             // (e.g. unreachable trailing code the verifier never visits
@@ -48,6 +51,7 @@ class Oracle
 
   private:
     const ShrinkOptions &opts_;
+    const RunOptions &run_;
     size_t runs_ = 0;
 };
 
@@ -207,14 +211,15 @@ dropUnusedMaps(FuzzCase &best, Divergence &div, Oracle &oracle)
 }  // namespace
 
 ShrinkResult
-shrinkCase(const FuzzCase &c, const ShrinkOptions &opts)
+shrinkCase(const FuzzCase &c, const ShrinkOptions &opts,
+           const RunOptions &run)
 {
     ShrinkResult result;
     result.initialInsns = c.prog.insns.size();
     result.initialPackets = c.packets.size();
     result.best = c;
 
-    Oracle oracle(opts);
+    Oracle oracle(opts, run);
     if (!oracle.stillFails(c, &result.divergence))
         panic("shrinkCase called on a non-diverging case '", c.name, "'");
 

@@ -31,7 +31,6 @@ struct ShrinkOptions
 {
     /** Budget: total differential executions across all passes. */
     size_t maxRuns = 4000;
-    RunOptions run;
 };
 
 /** Result of a shrink. */
@@ -47,10 +46,13 @@ struct ShrinkResult
 };
 
 /**
- * Shrink @p c, which must diverge under runCase (panics otherwise — a
- * non-diverging input indicates a caller bug). Deterministic.
+ * Shrink @p c, which must diverge under runCase(c, run) (panics
+ * otherwise — a non-diverging input indicates a caller bug). Every
+ * candidate runs under @p run, the executor knobs that found the
+ * divergence. Deterministic.
  */
-ShrinkResult shrinkCase(const FuzzCase &c, const ShrinkOptions &opts = {});
+ShrinkResult shrinkCase(const FuzzCase &c, const ShrinkOptions &opts = {},
+                        const RunOptions &run = {});
 
 }  // namespace ehdl::fuzz
 

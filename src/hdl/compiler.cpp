@@ -7,6 +7,19 @@
 
 namespace ehdl::hdl {
 
+void
+checkOptions(const PipelineOptions &options, Diagnostics &diags)
+{
+    const std::pair<const char *, unsigned> positive[] = {
+        {"frameBytes", options.frameBytes},
+        {"assumedParseDepthBytes", options.assumedParseDepthBytes},
+        {"clockMhz", options.clockMhz},
+    };
+    for (const auto &[name, value] : positive)
+        if (value == 0)
+            diags.error("options", name, " must be at least 1, got 0");
+}
+
 CompileResult
 compileWithReport(const ebpf::Program &prog, const PipelineOptions &options,
                   const PassObserver &observer)
@@ -20,6 +33,10 @@ compileWithReport(const ebpf::Program &prog, const PipelineOptions &options,
     ctx.options = options;
     ctx.pipe.prog = prog;
     ctx.pipe.options = options;
+
+    checkOptions(options, result.report.diags);
+    if (result.report.diags.hasErrors())
+        return result;
 
     const Clock::time_point start = Clock::now();
     for (const Pass &pass : compilerPasses()) {

@@ -59,6 +59,14 @@ CompileResult compileWithReport(const ebpf::Program &prog,
                                 const PassObserver &observer = nullptr);
 
 /**
+ * Append an error to @p diags (pass "options") for every setting of
+ * @p options the passes cannot honor: a zero frame size, parse depth or
+ * clock. compileWithReport runs it before the first pass; the .ehdlcase
+ * reader runs it on the options a case declares.
+ */
+void checkOptions(const PipelineOptions &options, Diagnostics &diags);
+
+/**
  * Compile @p prog into a hardware pipeline (strict wrapper around
  * compileWithReport; identical output for identical inputs).
  *

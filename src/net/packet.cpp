@@ -9,7 +9,10 @@ namespace ehdl::net {
 Packet::Packet(std::vector<uint8_t> bytes, uint32_t headroom)
 {
     buf_.resize(headroom + bytes.size());
-    std::memcpy(buf_.data() + headroom, bytes.data(), bytes.size());
+    // An empty vector may hand out a null data(), which memcpy forbids
+    // even for a zero-byte copy (a zero-length pcap record gets here).
+    if (!bytes.empty())
+        std::memcpy(buf_.data() + headroom, bytes.data(), bytes.size());
     start_ = headroom;
     end_ = headroom + static_cast<uint32_t>(bytes.size());
 }
@@ -76,7 +79,9 @@ Packet::assignBytes(const std::vector<uint8_t> &bytes, uint32_t headroom)
     // Exact size so tailroom matches a freshly built packet; shrinking a
     // vector keeps its capacity, so reuse still avoids reallocation.
     buf_.resize(headroom + bytes.size());
-    std::memcpy(buf_.data() + headroom, bytes.data(), bytes.size());
+    // Same guard as the constructor: an empty packet replays here.
+    if (!bytes.empty())
+        std::memcpy(buf_.data() + headroom, bytes.data(), bytes.size());
     start_ = headroom;
     end_ = headroom + static_cast<uint32_t>(bytes.size());
 }

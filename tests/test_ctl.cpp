@@ -790,22 +790,10 @@ TEST(CtlDifferential, EveryAppAgreesWithVmReplayUnderSchedule)
 
         MapSet vm_maps(spec.prog.maps);
         spec.seedMaps(vm_maps);
-        const CtlVmReplayResult replay = replayScheduleOnVm(
-            spec.prog, {}, packets, report, 0, vm_maps);
-        const auto outcomes = sim.outcomes();
-        ASSERT_EQ(outcomes.size(), replay.outcomes.size());
-        for (size_t i = 0; i < outcomes.size(); ++i) {
-            ASSERT_EQ(outcomes[i].id, replay.outcomes[i].id);
-            EXPECT_EQ(outcomes[i].action, replay.outcomes[i].action)
-                << "packet " << outcomes[i].id;
-            EXPECT_EQ(outcomes[i].trapped, replay.outcomes[i].trapped);
-            EXPECT_EQ(outcomes[i].redirectIfindex,
-                      replay.outcomes[i].redirectIfindex);
-            EXPECT_EQ(outcomes[i].bytes, replay.outcomes[i].bytes);
-        }
-        for (size_t t = 0; t < report.txns.size(); ++t)
-            EXPECT_EQ(report.txns[t].results[0], replay.txnResults[t]);
-        EXPECT_TRUE(MapSet::equal(maps, vm_maps));
+        EXPECT_EQ(checkReplicaAgainstVm(spec.prog, {}, packets, report, 0,
+                                        vm_maps, sim.outcomes(), maps),
+                  "")
+            << spec.prog.name;
     }
 }
 

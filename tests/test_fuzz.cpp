@@ -116,6 +116,14 @@ TEST(FuzzCaseFormat, RejectsMalformedInput)
     text = serializeCase(c);
     text.replace(text.find("insn ") + 5, 16, "790c000000000000");
     EXPECT_THROW(parseCase(text), FatalError);
+    // A zero frame size would divide by zero in the primitive-map pass;
+    // the compiler's options check rejects it before a case loads.
+    text = serializeCase(c);
+    const size_t frame = text.find("option frame-bytes ");
+    ASSERT_NE(frame, std::string::npos);
+    text.replace(frame, text.find('\n', frame) - frame,
+                 "option frame-bytes 0");
+    EXPECT_THROW(parseCase(text), FatalError);
 }
 
 TEST(FuzzMutate, RemoveInsnRetargetsJumps)

@@ -239,6 +239,21 @@ TEST(Pcap, RandomizedRoundTrip)
     }
 }
 
+TEST(Pcap, ZeroLengthRecordRoundTrips)
+{
+    // A record with incl_len 0 becomes an empty packet. Building it from
+    // an empty byte vector must not memcpy from its (null) data().
+    std::vector<Packet> packets;
+    packets.emplace_back(std::vector<uint8_t>{});
+    packets.push_back(PacketFactory::build(PacketSpec{}));
+    const std::string path = ::testing::TempDir() + "/ehdl_zero.pcap";
+    writePcap(path, packets);
+    const std::vector<Packet> back = readPcap(path);
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0].size(), 0u);
+    EXPECT_EQ(back[1].bytes(), packets[1].bytes());
+}
+
 TEST(Pcap, RejectsGarbage)
 {
     const std::string path = ::testing::TempDir() + "/ehdl_bad.pcap";

@@ -235,6 +235,24 @@ TEST(Passes, VerifyRejectionAccumulatesAllErrors)
     EXPECT_EQ(r.report.passes.back().name, "verify");
 }
 
+TEST(Passes, ZeroSizedOptionsAreRejectedBeforeAnyPass)
+{
+    // frameBytes == 0 would divide by zero in the primitive-map pass.
+    const AppSpec toy = apps::makeToyCounter();
+    PipelineOptions options;
+    options.frameBytes = 0;
+    options.clockMhz = 0;
+    const CompileResult r = compileWithReport(toy.prog, options);
+    EXPECT_FALSE(r.pipeline.has_value());
+    EXPECT_FALSE(r.report.ok);
+    EXPECT_TRUE(r.report.passes.empty());
+    ASSERT_EQ(r.report.diags.errorCount(), 2u);
+    for (const Diagnostic &d : r.report.diags.all())
+        EXPECT_EQ(d.pass, "options");
+    EXPECT_NE(r.report.diags.render().find("frameBytes"), std::string::npos);
+    EXPECT_THROW((void)compile(toy.prog, options), FatalError);
+}
+
 TEST(Passes, CompileWrapperRendersDiagnostics)
 {
     ebpf::ProgramBuilder b("bad");

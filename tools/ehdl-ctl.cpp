@@ -1,44 +1,32 @@
 /**
  * @file
- * Host control-plane driver: runs a scripted `.ctl` schedule (see
- * src/ctl/command.hpp for the format) against a built-in application
- * compiled and running under PipeSim or MultiPipeSim, over the modeled
- * PCIe mailbox channel.
+ * Host control-plane driver: runs a scripted `.ctl` schedule (format in
+ * src/ctl/command.hpp) over the modeled PCIe mailbox against a built-in
+ * app simulated under generated line-rate traffic (the app's protocol
+ * hints, flow count and rate from the flags). Prints the apply log as a
+ * table and writes it with the final stats as JSON (--stats-out).
  *
- *   ehdl-ctl run SCHEDULE.ctl [options]
+ *   ehdl-ctl run SCHEDULE.ctl [options]    # flags: ehdl-ctl --help
  *
- * The workload is generated traffic (line rate, flow count and protocol
- * from the app's suggested parameters unless overridden). The apply log —
- * per-transaction submit/device/complete cycles, per-replica op results
- * and polled stats snapshots — is printed as a table and optionally
- * written to a JSON file for scripts (--stats-out). `--poll-stats N`
- * injects a periodic stats_read every N cycles on top of the schedule,
- * which costs the datapath nothing (stats reads are side-band).
- *
- * `--verify` replays the recorded apply log against the sequential
- * reference VM (ctl::replayScheduleOnVm) and cross-checks per-packet
- * verdicts, host op results, and final map state; it is available for the
- * single-pipeline and sharded multi-queue backends (shared-map mode has no
- * global sequential packet order to replay).
+ * `--poll-stats N` adds a side-band stats_read every N cycles. `--verify`
+ * replays the apply log on the reference VM (ctl::replayScheduleOnVm) and
+ * cross-checks verdicts, host op results and final maps; shared-map mode
+ * has no global packet order to replay, so it cannot be verified.
  */
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <memory>
-
 #include "apps/apps.hpp"
-#include "common/json.hpp"
+#include "cli.hpp"
 #include "common/logging.hpp"
 #include "ctl/controller.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "host/host_dma.hpp"
 #include "sim/multi_pipe_sim.hpp"
@@ -48,208 +36,6 @@
 namespace {
 
 using namespace ehdl;
-
-/** Built-in application registry (accepts the ehdlc names + aliases). */
-apps::AppSpec
-resolveApp(const std::string &ref)
-{
-    const std::string name =
-        ref.rfind("app:", 0) == 0 ? ref.substr(4) : ref;
-    static const std::pair<const char *, apps::AppSpec (*)()> kApps[] = {
-        {"toy", apps::makeToyCounter},
-        {"firewall", apps::makeSimpleFirewall},
-        {"router", apps::makeRouterIpv4},
-        {"router_ipv4", apps::makeRouterIpv4},
-        {"tunnel", apps::makeTxIpTunnel},
-        {"dnat", apps::makeDnat},
-        {"suricata", apps::makeSuricataFilter},
-        {"leaky_bucket", apps::makeLeakyBucket},
-        {"lb", apps::makeL4LoadBalancer},
-        {"monitor", apps::makeMonitorSampler},
-    };
-    for (const auto &[key, make] : kApps)
-        if (name == key)
-            return make();
-    std::string known;
-    for (const auto &[key, make] : kApps)
-        known += std::string(known.empty() ? "" : ", ") + key;
-    fatal("unknown app '", ref, "' (known: ", known, ")");
-}
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: ehdl-ctl run SCHEDULE.ctl [options]\n"
-          "\n"
-          "Runs a host control-plane schedule against a built-in app\n"
-          "compiled and simulated under generated line-rate traffic.\n"
-          "\n"
-          "options:\n"
-          "  --app NAME        application (default router_ipv4; accepts\n"
-          "                    the app: prefix and ehdlc names)\n"
-          "  --swap L=NAME     register app NAME as swap_program target L\n"
-          "  --replicas N      pipeline replicas (default 1 = single\n"
-          "                    PipeSim; >= 2 uses MultiPipeSim)\n"
-          "  --map-mode M      sharded|shared replica maps (default\n"
-          "                    sharded)\n"
-          "  --threaded        drain sharded replicas on worker threads\n"
-          "  --packets N       workload packets (default 2000)\n"
-          "  --flows N         workload flows (default 64)\n"
-          "  --rate GBPS       line rate in Gbps (default 100)\n"
-          "  --rtt N           mailbox round-trip latency, shell cycles\n"
-          "                    (default 700 ~= 2.8us at 250MHz)\n"
-          "  --inflight N      mailbox in-flight transaction window\n"
-          "                    (default 8)\n"
-          "  --engine SPEC     stage-execution engine: interp (default),\n"
-          "                    aot, aot-native\n"
-          "  --sched MODE      cycle scheduling: dense (default) or event\n"
-          "                    (bit-identical fast-forward; quiescence\n"
-          "                    boundaries land on the same cycles)\n"
-          "  --paranoid        cross-check hazard summaries against the\n"
-          "                    full read scan\n"
-          "  --poll-stats N    add a stats_read every N cycles\n"
-          "  --host-rings      attach the host DMA datapath (RX rings,\n"
-          "                    coalescing, host consumer; src/host)\n"
-          "  --ring-depth N    host RX ring depth (implies --host-rings)\n"
-          "  --host-rate MPPS  host consumer service rate (implies\n"
-          "                    --host-rings)\n"
-          "  --coalesce C[,T]  completion coalescing: IRQ after C\n"
-          "                    completions or T cycles (implies\n"
-          "                    --host-rings)\n"
-          "  --host-frac F     tag fraction F of workload flows as\n"
-          "                    host-destined (PASS-heavy)\n"
-          "  --stats-out FILE  write the apply log + final stats as JSON\n"
-          "  --verify          cross-check against the reference VM\n"
-          "                    replay (single or sharded backends)\n"
-          "  --quiet           suppress the per-transaction table\n";
-}
-
-uint64_t
-parseNum(const char *flag, const char *value)
-{
-    if (!value)
-        fatal(flag, " requires a value");
-    try {
-        size_t pos = 0;
-        const uint64_t v = std::stoull(value, &pos);
-        if (pos != std::strlen(value))
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal(flag, ": expected a number, got '", value, "'");
-    }
-}
-
-std::string
-hex(const std::vector<uint8_t> &bytes)
-{
-    static const char *digits = "0123456789abcdef";
-    std::string out;
-    for (const uint8_t b : bytes) {
-        out += digits[b >> 4];
-        out += digits[b & 0xf];
-    }
-    return out;
-}
-
-using sim::statsJson;
-
-Json
-reportJson(const ctl::CtlRunReport &report)
-{
-    Json txns = Json::array();
-    for (const ctl::CtlTxnRecord &rec : report.txns) {
-        Json t;
-        t.set("cycle", Json::integer(rec.txn.cycle))
-            .set("kind", Json::str(ctl::ctlOpKindName(rec.txn.kind)))
-            .set("submitCycle", Json::integer(rec.submitCycle))
-            .set("deviceCycle", Json::integer(rec.deviceCycle))
-            .set("completeCycle", Json::integer(rec.completeCycle));
-        Json applies = Json::array();
-        for (const uint64_t c : rec.applyCycle)
-            applies.push(Json::integer(c));
-        t.set("applyCycle", std::move(applies));
-        Json retired = Json::array();
-        for (const uint64_t n : rec.retiredBefore)
-            retired.push(Json::integer(n));
-        t.set("retiredBefore", std::move(retired));
-        if (!rec.results.empty()) {
-            Json replicas = Json::array();
-            for (const auto &ops : rec.results) {
-                Json per_op = Json::array();
-                for (const ctl::CtlOpResult &r : ops) {
-                    Json o;
-                    o.set("rc", Json::integer(
-                               static_cast<uint64_t>(r.rc < 0 ? -r.rc
-                                                              : r.rc)));
-                    if (r.rc < 0)
-                        o.set("negative", Json::boolean(true));
-                    if (r.hit || !r.value.empty()) {
-                        o.set("hit", Json::boolean(r.hit));
-                        o.set("value", Json::str(hex(r.value)));
-                    }
-                    per_op.push(std::move(o));
-                }
-                replicas.push(std::move(per_op));
-            }
-            t.set("results", std::move(replicas));
-        }
-        if (!rec.statsSnapshot.empty()) {
-            Json snaps = Json::array();
-            for (const sim::PipeSimStats &s : rec.statsSnapshot)
-                snaps.push(statsJson(s, 250'000'000));
-            t.set("stats", std::move(snaps));
-        }
-        if (!rec.streamSamples.empty()) {
-            // The nfbmeter-style timestamped series, one array of
-            // samples per replica/queue.
-            Json replicas = Json::array();
-            for (const auto &series : rec.streamSamples) {
-                Json samples = Json::array();
-                for (const ctl::CtlStreamSample &s : series) {
-                    Json sample;
-                    sample.set("cycle", Json::integer(s.cycle))
-                        .set("stats", statsJson(s.stats, 250'000'000));
-                    if (s.hostValid)
-                        sample.set("host", counters::toJson(s.host));
-                    samples.push(std::move(sample));
-                }
-                replicas.push(std::move(samples));
-            }
-            t.set("streamSamples", std::move(replicas));
-        }
-        txns.push(std::move(t));
-    }
-    Json j;
-    j.set("numReplicas", Json::integer(report.numReplicas))
-        .set("txns", std::move(txns));
-    return j;
-}
-
-struct Options
-{
-    std::string schedulePath;
-    std::string app = "router_ipv4";
-    std::vector<std::pair<std::string, std::string>> swaps;
-    unsigned replicas = 1;
-    sim::MapMode mapMode = sim::MapMode::Sharded;
-    bool threaded = false;
-    uint64_t packets = 2000;
-    uint64_t flows = 64;
-    double rateGbps = 100.0;
-    sim::SimEngine engine = sim::SimEngine::Interp;
-    sim::AotBackend aotBackend = sim::AotBackend::DirectThreaded;
-    sim::SchedMode schedMode = sim::SchedMode::Dense;
-    bool paranoid = false;
-    ctl::CtlChannelConfig channel;
-    uint64_t pollStats = 0;
-    std::string statsOut;
-    bool verify = false;
-    bool quiet = false;
-    bool hostRings = false;
-    host::HostDmaConfig hostConfig;
-    double hostFrac = 0.0;
-};
 
 /** Inject a periodic stats_read every @p period cycles over the run. */
 void
@@ -267,292 +53,131 @@ addStatsPolling(ctl::CtlSchedule &sched, uint64_t period, uint64_t end)
                      });
 }
 
-/** Cross-check one replica's stream against the VM replay of the log. */
-void
-verifyReplica(const ebpf::Program &prog,
-              const std::map<std::string, const ebpf::Program *> &programs,
-              const std::vector<net::Packet> &stream,
-              const ctl::CtlRunReport &report, unsigned replica,
-              ebpf::MapSet &vm_maps, const sim::PipeSim &sim,
-              const ebpf::MapSet &dev_maps)
-{
-    const ctl::CtlVmReplayResult replay = ctl::replayScheduleOnVm(
-        prog, programs, stream, report, replica, vm_maps);
-    const std::vector<sim::PacketOutcome> outcomes = sim.outcomes();
-    if (outcomes.size() != replay.outcomes.size())
-        fatal("verify: replica ", replica, " completed ", outcomes.size(),
-              " packets, VM replay produced ", replay.outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        const sim::PacketOutcome &dev = outcomes[i];
-        const ctl::CtlVmOutcome &ref = replay.outcomes[i];
-        if (dev.id != ref.id)
-            fatal("verify: replica ", replica, " retire order differs at ",
-                  i, " (pipeline packet ", dev.id, ", vm packet ", ref.id,
-                  ")");
-        if (dev.action != ref.action || dev.trapped != ref.trapped ||
-            dev.redirectIfindex != ref.redirectIfindex ||
-            dev.bytes != ref.bytes)
-            fatal("verify: replica ", replica, " diverges on packet ",
-                  dev.id);
-    }
-    for (size_t t = 0; t < report.txns.size(); ++t) {
-        const auto &dev_results = report.txns[t].results;
-        if (replica < dev_results.size() &&
-            dev_results[replica] != replay.txnResults[t])
-            fatal("verify: replica ", replica,
-                  " host-op results differ on transaction ", t);
-    }
-    if (!ebpf::MapSet::equal(dev_maps, vm_maps))
-        fatal("verify: replica ", replica, " final map state differs");
-}
-
 int
 run(int argc, char **argv)
 {
-    Options opt;
-    int argi = 1;
-    if (argi < argc && std::string(argv[argi]) == "run")
-        ++argi;
-    for (; argi < argc; ++argi) {
-        const std::string arg = argv[argi];
-        const auto value = [&]() -> const char * {
-            return argi + 1 < argc ? argv[++argi] : nullptr;
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else if (arg == "--app") {
-            const char *v = value();
-            if (!v)
-                fatal("--app requires a value");
-            opt.app = v;
-        } else if (arg == "--swap") {
-            const char *v = value();
-            const char *eq = v ? std::strchr(v, '=') : nullptr;
-            if (!eq || eq == v || !eq[1])
-                fatal("--swap requires LABEL=APP");
-            opt.swaps.emplace_back(std::string(v, eq), std::string(eq + 1));
-        } else if (arg == "--replicas") {
-            opt.replicas =
-                static_cast<unsigned>(parseNum("--replicas", value()));
-        } else if (arg == "--map-mode") {
-            const char *v = value();
-            if (v && std::string(v) == "sharded")
-                opt.mapMode = sim::MapMode::Sharded;
-            else if (v && std::string(v) == "shared")
-                opt.mapMode = sim::MapMode::Shared;
-            else
-                fatal("--map-mode must be sharded or shared");
-        } else if (arg == "--threaded") {
-            opt.threaded = true;
-        } else if (arg == "--packets") {
-            opt.packets = parseNum("--packets", value());
-        } else if (arg == "--flows") {
-            opt.flows = parseNum("--flows", value());
-        } else if (arg == "--rate") {
-            opt.rateGbps =
-                static_cast<double>(parseNum("--rate", value()));
-        } else if (arg == "--rtt") {
-            opt.channel.roundTripCycles = parseNum("--rtt", value());
-        } else if (arg == "--inflight") {
-            opt.channel.maxInFlight = static_cast<unsigned>(
-                parseNum("--inflight", value()));
-        } else if (arg == "--engine") {
-            const char *v = value();
-            sim::PipeSimConfig ec;
-            if (!v || !sim::parseEngineSpec(v, ec))
-                fatal("--engine expects interp, aot or aot-native");
-            opt.engine = ec.engine;
-            opt.aotBackend = ec.aotBackend;
-        } else if (arg == "--sched") {
-            const char *v = value();
-            const std::string mode = v ? v : "";
-            if (mode == "dense")
-                opt.schedMode = sim::SchedMode::Dense;
-            else if (mode == "event")
-                opt.schedMode = sim::SchedMode::EventDriven;
-            else
-                fatal("--sched expects dense or event");
-        } else if (arg == "--paranoid") {
-            opt.paranoid = true;
-        } else if (arg == "--host-rings") {
-            opt.hostRings = true;
-        } else if (arg == "--ring-depth") {
-            opt.hostRings = true;
-            opt.hostConfig.ringDepth =
-                static_cast<unsigned>(parseNum("--ring-depth", value()));
-        } else if (arg == "--host-rate") {
-            const char *v = value();
-            if (!v)
-                fatal("--host-rate requires a value");
-            opt.hostRings = true;
-            opt.hostConfig.hostRateMpps = std::stod(v);
-        } else if (arg == "--coalesce") {
-            const char *v = value();
-            if (!v)
-                fatal("--coalesce requires COUNT[,TIMEOUT]");
-            opt.hostRings = true;
-            const std::string spec = v;
-            const size_t comma = spec.find(',');
-            opt.hostConfig.coalesceCount = static_cast<unsigned>(
-                std::stoul(spec.substr(0, comma)));
-            if (comma != std::string::npos)
-                opt.hostConfig.coalesceTimeoutCycles =
-                    std::stoull(spec.substr(comma + 1));
-        } else if (arg == "--host-frac") {
-            const char *v = value();
-            if (!v)
-                fatal("--host-frac requires a value");
-            opt.hostFrac = std::stod(v);
-        } else if (arg == "--poll-stats") {
-            opt.pollStats = parseNum("--poll-stats", value());
-        } else if (arg == "--stats-out") {
-            const char *v = value();
-            if (!v)
-                fatal("--stats-out requires a file");
-            opt.statsOut = v;
-        } else if (arg == "--verify") {
-            opt.verify = true;
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            usage(std::cerr);
-            fatal("unknown option '", arg, "'");
-        } else if (opt.schedulePath.empty()) {
-            opt.schedulePath = arg;
-        } else {
-            fatal("more than one schedule file given");
-        }
-    }
-    if (opt.schedulePath.empty()) {
-        usage(std::cerr);
-        fatal("a SCHEDULE.ctl file is required");
-    }
-    if (opt.replicas == 0)
-        fatal("--replicas must be at least 1");
-    if (opt.verify && opt.replicas >= 2 &&
-        opt.mapMode == sim::MapMode::Shared)
+    std::string app = "router_ipv4", stats_out;
+    std::vector<std::pair<std::string, std::string>> swaps;
+    sim::MultiPipeSimConfig mc;
+    mc.pipe.inputQueueCapacity = 1u << 20;
+    uint64_t packets = 2000, poll_stats = 0;
+    sim::TrafficConfig tc;
+    tc.numFlows = 64;
+    tc.seed = 42;
+    ctl::CtlChannelConfig channel;
+    bool verify = false, quiet = false, host_rings = false;
+    host::HostDmaConfig host_config;
+    cli::FlagTable flags(
+        "usage: ehdl-ctl run SCHEDULE.ctl [options]\n\n"
+        "Runs a host control-plane schedule against a built-in app\n"
+        "compiled and simulated under generated line-rate traffic.");
+    flags.text("--app", "NAME", "built-in app, with or without the app: "
+               "prefix (apps::findApp)", app)
+        .add({"--swap", "L=NAME", "register app NAME as swap_program target L",
+              [&swaps](const std::string &v) {
+                  const size_t eq = v.find('=');
+                  if (eq == 0 || eq == std::string::npos || eq + 1 == v.size())
+                      cli::badValue("--swap", "LABEL=APP", v);
+                  swaps.emplace_back(v.substr(0, eq), v.substr(eq + 1));
+              },
+              ""});
+    cli::addReplicaFlags(flags, mc.numReplicas, mc.threaded);
+    flags.choice("--map-mode", "replica maps: per-replica shards or one "
+                 "shared set (lockstep)", mc.mapMode,
+                 {{"sharded", sim::MapMode::Sharded},
+                  {"shared", sim::MapMode::Shared}});
+    cli::addWorkloadFlags(flags, packets, tc.numFlows);
+    flags.real("--rate", "GBPS", "line rate", tc.lineRateGbps, 1e-3, 1e6)
+        .integer("--rtt", "N", "mailbox round-trip latency in 4 ns shell "
+                 "cycles", channel.roundTripCycles, 0, 1ull << 40)
+        .integer("--inflight", "N", "mailbox in-flight transaction window",
+                 channel.maxInFlight, 1, 1u << 16);
+    cli::addEngineFlags(flags, mc.pipe.engine, mc.pipe.aotBackend,
+                        mc.pipe.schedMode, mc.pipe.paranoidChecks);
+    flags.integer("--poll-stats", "N", "add a stats_read every N cycles "
+                  "(0 = none)", poll_stats, 0, 1ull << 40);
+    cli::addHostFlags(flags, host_rings, host_config, tc.hostFlowFraction);
+    flags.toggle("--verify", "cross-check against the reference VM replay "
+                 "(single or sharded backends)", verify);
+    cli::addOutputFlags(flags, stats_out, &quiet);
+    std::vector<std::string> args = flags.parse(argc - 1, argv + 1);
+    if (!args.empty() && args.front() == "run")
+        args.erase(args.begin());
+    const std::string schedule_path = cli::single(args, "SCHEDULE.ctl");
+    const unsigned replicas = mc.numReplicas;
+    if (verify && replicas >= 2 && mc.mapMode == sim::MapMode::Shared)
         fatal("--verify is unavailable with --map-mode shared (no global "
               "sequential packet order to replay)");
 
-    // Application + swap targets: compile everything up front.
-    const apps::AppSpec spec = resolveApp(opt.app);
+    // Application + swap targets: compile everything up front. The VM
+    // side of --verify replays swaps from the same registry.
+    const apps::AppSpec spec = apps::findApp(app);
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
-    std::vector<std::pair<std::string, apps::AppSpec>> swap_specs;
-    std::vector<std::pair<std::string, hdl::Pipeline>> swap_pipes;
-    for (const auto &[label, ref] : opt.swaps) {
-        swap_specs.emplace_back(label, resolveApp(ref));
-        swap_pipes.emplace_back(label,
-                                hdl::compile(swap_specs.back().second.prog));
+    std::map<std::string, apps::AppSpec> swap_apps;
+    std::map<std::string, hdl::Pipeline> swap_pipes;
+    std::map<std::string, const ebpf::Program *> vm_programs;
+    for (const auto &[label, ref] : swaps) {
+        const apps::AppSpec &s = swap_apps[label] = apps::findApp(ref);
+        swap_pipes.insert_or_assign(label, hdl::compile(s.prog));
+        vm_programs[label] = &s.prog;
     }
-
-    ctl::CtlSchedule sched = ctl::loadSchedule(opt.schedulePath);
 
     // Workload: the app's suggested traffic shape at the requested rate.
-    sim::TrafficConfig tc;
-    tc.numFlows = opt.flows;
-    tc.lineRateGbps = opt.rateGbps;
+    ctl::CtlSchedule sched = ctl::loadSchedule(schedule_path);
     tc.ipProto = spec.ipProto;
     tc.reverseFraction = spec.reverseFraction;
-    tc.hostFlowFraction = opt.hostFrac;
-    tc.seed = 42;
     sim::TrafficGen gen(tc);
-    std::vector<net::Packet> packets;
-    packets.reserve(opt.packets);
-    for (uint64_t i = 0; i < opt.packets; ++i)
-        packets.push_back(gen.next());
-    if (opt.pollStats > 0) {
-        const uint64_t end = gen.nowNs() / 4 + 2000;
-        addStatsPolling(sched, opt.pollStats, end);
+    std::vector<net::Packet> stream;
+    stream.reserve(packets);
+    for (uint64_t i = 0; i < packets; ++i)
+        stream.push_back(gen.next());
+    if (poll_stats > 0)
+        addStatsPolling(sched, poll_stats, gen.nowNs() / 4 + 2000);
+
+    // One replica runs as a MultiPipeSim of one, where the map mode and
+    // threading make no difference: pin the settings every mode accepts.
+    sim::MultiPipeSimConfig run_config = mc;
+    if (replicas == 1) {
+        run_config.mapMode = sim::MapMode::Sharded;
+        run_config.threaded = false;
     }
-
-    // VM-side program registry for --verify swap replay.
-    std::map<std::string, const ebpf::Program *> vm_programs;
-    for (const auto &[label, s] : swap_specs)
-        vm_programs.emplace(label, &s.prog);
-
-    ctl::CtlRunReport report;
-    sim::PipeSimStats final_stats;
-    sim::EngineInfo engine_info;
+    ebpf::MapSet seed(spec.prog.maps);
+    spec.seedMaps(seed);
+    sim::MultiPipeSim multi(pipe, seed, run_config);
     std::unique_ptr<host::HostDatapath> host;
-    if (opt.hostRings) {
-        opt.hostConfig.numQueues = opt.replicas;
-        host = std::make_unique<host::HostDatapath>(opt.hostConfig);
+    if (host_rings) {
+        host_config.numQueues = replicas;
+        host = std::make_unique<host::HostDatapath>(host_config);
+        host->attach(multi);
     }
-
-    if (opt.replicas == 1) {
-        ebpf::MapSet maps(spec.prog.maps);
-        spec.seedMaps(maps);
-        sim::PipeSimConfig sc;
-        sc.inputQueueCapacity = 1u << 20;
-        sc.engine = opt.engine;
-        sc.aotBackend = opt.aotBackend;
-        sc.schedMode = opt.schedMode;
-        sc.paranoidChecks = opt.paranoid;
-        sim::PipeSim sim(pipe, maps, sc);
-        if (host)
-            host->attach(sim);
-        for (const net::Packet &pkt : packets)
-            sim.offer(pkt);
-        ctl::CtlController ctrl(sim, maps, opt.channel);
-        ctrl.attachHost(host.get());
-        for (const auto &[label, p] : swap_pipes)
-            ctrl.addProgram(label, p);
-        report = ctrl.run(sched);
-        sim.drain();
-        final_stats = sim.stats();
-        engine_info = sim.engineInfo();
-        if (opt.verify) {
-            ebpf::MapSet vm_maps(spec.prog.maps);
-            spec.seedMaps(vm_maps);
-            verifyReplica(spec.prog, vm_programs, packets, report, 0,
-                          vm_maps, sim, maps);
-        }
-    } else {
-        ebpf::MapSet seed(spec.prog.maps);
-        spec.seedMaps(seed);
-        sim::MultiPipeSimConfig mc;
-        mc.numReplicas = opt.replicas;
-        mc.mapMode = opt.mapMode;
-        mc.threaded = opt.threaded;
-        mc.pipe.inputQueueCapacity = 1u << 20;
-        mc.pipe.engine = opt.engine;
-        mc.pipe.aotBackend = opt.aotBackend;
-        mc.pipe.schedMode = opt.schedMode;
-        mc.pipe.paranoidChecks = opt.paranoid;
-        sim::MultiPipeSim multi(pipe, seed, mc);
-        if (host)
-            host->attach(multi);
-        std::vector<std::vector<net::Packet>> streams(opt.replicas);
-        for (const net::Packet &pkt : packets)
-            streams[multi.dispatch(pkt)].push_back(pkt);
-        for (const net::Packet &pkt : packets)
-            multi.offer(pkt);
-        ctl::CtlController ctrl(multi, opt.channel);
-        ctrl.attachHost(host.get());
-        for (const auto &[label, p] : swap_pipes)
-            ctrl.addProgram(label, p);
-        report = ctrl.run(sched);
-        multi.drain();
-        final_stats = multi.stats();
-        engine_info = multi.engineInfo();
-        if (opt.verify) {
-            for (unsigned r = 0; r < opt.replicas; ++r) {
-                ebpf::MapSet vm_maps(spec.prog.maps);
-                spec.seedMaps(vm_maps);
-                verifyReplica(spec.prog, vm_programs, streams[r], report,
-                              r, vm_maps, multi.replica(r),
-                              multi.replicaMaps(r));
-            }
-        }
+    std::vector<std::vector<net::Packet>> streams(replicas);
+    for (const net::Packet &pkt : stream)
+        streams[multi.dispatch(pkt)].push_back(pkt);
+    for (const net::Packet &pkt : stream)
+        multi.offer(pkt);
+    ctl::CtlController ctrl(multi, channel);
+    ctrl.attachHost(host.get());
+    for (const auto &[label, p] : swap_pipes)
+        ctrl.addProgram(label, p);
+    const ctl::CtlRunReport report = ctrl.run(sched);
+    multi.drain();
+    const sim::PipeSimStats final_stats = multi.stats();
+    const sim::EngineInfo &engine_info = multi.engineInfo();
+    for (unsigned r = 0; verify && r < replicas; ++r) {
+        ebpf::MapSet vm_maps(spec.prog.maps);
+        spec.seedMaps(vm_maps);
+        const std::string diff = ctl::checkReplicaAgainstVm(
+            spec.prog, vm_programs, streams[r], report, r, vm_maps,
+            multi.replica(r).outcomes(), multi.replicaMaps(r));
+        if (!diff.empty())
+            fatal("verify: ", diff);
     }
-
     if (host)
         host->finishAll();
 
-    if (!opt.quiet) {
-        std::cout << "app " << spec.prog.name << ", " << opt.replicas
-                  << " replica(s), " << packets.size() << " packets, "
+    if (!quiet) {
+        std::cout << "app " << spec.prog.name << ", " << replicas
+                  << " replica(s), " << stream.size() << " packets, "
                   << report.txns.size() << " transactions, engine "
                   << engine_info.describe() << "\n";
         if (!engine_info.fallbackReason.empty())
@@ -577,40 +202,33 @@ run(int argc, char **argv)
                   << final_stats.lost << " lost, " << final_stats.cycles
                   << " cycles, "
                   << final_stats.throughputMpps(250'000'000) << " Mpps\n";
-        if (host) {
-            const host::HostQueueCounters t = host->totals();
-            std::cout << "host: " << t.consumed << " consumed, "
-                      << t.shellDrops << " shell drops, " << t.interrupts
-                      << " IRQs (" << t.countTriggeredIrqs << " count, "
-                      << t.timerTriggeredIrqs << " timer)\n";
-        }
-        if (opt.verify)
+        if (host)
+            cli::printHostSummary(*host);
+        if (verify)
             std::cout << "verify: OK (VM replay matches)\n";
     }
 
-    if (!opt.statsOut.empty()) {
+    if (!stats_out.empty()) {
         Json root;
         root.set("app", Json::str(spec.prog.name))
-            .set("schedule", Json::str(opt.schedulePath));
+            .set("schedule", Json::str(schedule_path));
         root.set("backend",
-                 Json::str(opt.replicas == 1 ? "pipesim" : "multipipesim"))
-            .set("replicas", Json::integer(opt.replicas))
+                 Json::str(replicas == 1 ? "pipesim" : "multipipesim"))
+            .set("replicas", Json::integer(replicas))
             .set("mapMode",
-                 Json::str(opt.mapMode == sim::MapMode::Sharded
-                               ? "sharded"
-                               : "shared"))
-            .set("threaded", Json::boolean(opt.threaded))
+                 Json::str(mc.mapMode == sim::MapMode::Sharded ? "sharded"
+                                                               : "shared"))
+            .set("threaded", Json::boolean(mc.threaded))
             .set("channel",
                  Json()
                      .set("roundTripCycles",
-                          Json::integer(opt.channel.roundTripCycles))
-                     .set("maxInFlight",
-                          Json::integer(opt.channel.maxInFlight)))
+                          Json::integer(channel.roundTripCycles))
+                     .set("maxInFlight", Json::integer(channel.maxInFlight)))
             .set("workload",
                  Json()
-                     .set("packets", Json::integer(packets.size()))
-                     .set("flows", Json::integer(opt.flows))
-                     .set("rateGbps", Json::num(opt.rateGbps)))
+                     .set("packets", Json::integer(stream.size()))
+                     .set("flows", Json::integer(tc.numFlows))
+                     .set("rateGbps", Json::num(tc.lineRateGbps)))
             .set("engine",
                  Json()
                      .set("active", Json::str(engine_info.describe()))
@@ -619,16 +237,11 @@ run(int argc, char **argv)
                      .set("fallbackReason",
                           Json::str(engine_info.fallbackReason)))
             .set("finalStats", statsJson(final_stats, 250'000'000))
-            .set("verified", Json::boolean(opt.verify))
-            .set("report", reportJson(report));
+            .set("verified", Json::boolean(verify))
+            .set("report", ctl::reportJson(report));
         if (host)
             root.set("host", host::hostDatapathJson(*host));
-        std::ofstream out(opt.statsOut);
-        if (!out)
-            fatal("cannot write '", opt.statsOut, "'");
-        out << root.dump() << "\n";
-        if (!opt.quiet)
-            std::cout << "stats written to " << opt.statsOut << "\n";
+        cli::writeJson(stats_out, root, !quiet);
     }
     return 0;
 }
@@ -638,13 +251,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &e) {
-        std::cerr << "fatal: " << e.what() << "\n";
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << "panic: " << e.what() << "\n";
-        return 3;
-    }
+    return cli::main("ehdl-ctl", argc, argv, run);
 }

@@ -1,92 +1,28 @@
 /**
  * @file
- * Differential fuzzing driver. Two modes:
+ * Differential fuzzing driver (flags: ehdl-fuzz --help):
  *
- *   ehdl-fuzz [--iters N] [--seed N] ...     run a fuzzing campaign
- *   ehdl-fuzz --replay case.ehdlcase ...     replay saved corpus cases
+ *   ehdl-fuzz [options]                          run a fuzzing campaign
+ *   ehdl-fuzz --replay CASE.ehdlcase... [options]  replay saved cases
  *
- * Campaign exit status: 0 when no divergence was found, 1 when at least one
- * was (reproducers are shrunk and optionally written to --corpus DIR).
- * Replay exit status: 0 when every case matches its recorded expectation.
+ * A campaign exits 1 when it found a divergence (reproducers are shrunk
+ * and optionally written to --corpus DIR), a replay when a case misses
+ * its recorded expectation; both exit 0 otherwise.
  */
 
-#include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
+#include "cli.hpp"
 #include "common/logging.hpp"
 #include "fuzz/case.hpp"
 #include "fuzz/diff.hpp"
 #include "fuzz/fuzzer.hpp"
-#include "sim/stats_json.hpp"
 
 namespace {
 
 using namespace ehdl;
-
-void
-usage(std::ostream &os)
-{
-    os << "usage: ehdl-fuzz [options]\n"
-          "       ehdl-fuzz --replay CASE.ehdlcase [CASE...]\n"
-          "\n"
-          "campaign options:\n"
-          "  --iters N          iterations to run (default 1000)\n"
-          "  --seed N           campaign seed (default 1)\n"
-          "  --packets-min N    min packets per workload (default 24)\n"
-          "  --packets-max N    max packets per workload (default 96)\n"
-          "  --flows N          max flows per workload (default 6)\n"
-          "  --inject-war-bug   compile without WAR delay buffers\n"
-          "  --inject-flush-bug compile without flush-evaluation blocks\n"
-          "  --ctl              interleave random host control-plane\n"
-          "                     schedules (map updates/deletes/lookups at\n"
-          "                     random cycles) and cross-check VM vs PipeSim\n"
-          "                     vs sharded MultiPipeSim final map state\n"
-          "  --ctl-txns N       max transactions per schedule (default 8)\n"
-          "  --ctl-replicas N   MultiPipeSim replicas for --ctl cases\n"
-          "  --engine SPEC      pipeline engine: interp (default), aot,\n"
-          "                     aot-native (also applies to --replay)\n"
-          "                     (default 2, below 2 disables that backend)\n"
-          "  --sched MODE       cycle scheduling: dense (default) or event\n"
-          "                     (event-driven fast-forward, contracted\n"
-          "                     bit-identical to dense)\n"
-          "  --host             attach a small-ring host DMA datapath to\n"
-          "                     every pipeline backend; the differential\n"
-          "                     contract must hold unchanged and drained\n"
-          "                     host queues must conserve descriptors\n"
-          "                     (consumed + shellDrops == PASS verdicts)\n"
-          "  --host-ring N      ring depth of the --host model (default\n"
-          "                     16; small keeps backpressure paths hot)\n"
-          "  --paranoid         cross-check the O(1) hazard summaries\n"
-          "                     against the full read scan (panics on a\n"
-          "                     summary false negative)\n"
-          "  --stats-out FILE   write campaign counters, engine info and\n"
-          "                     aggregated pipeline stats as JSON\n"
-          "  --no-shrink        keep reproducers unreduced\n"
-          "  --all              keep fuzzing past the first divergence\n"
-          "  --corpus DIR       write shrunk reproducers to DIR\n"
-          "  --quiet            suppress progress output\n";
-}
-
-uint64_t
-parseNum(const char *flag, const char *value)
-{
-    if (!value)
-        fatal(flag, " requires a value");
-    try {
-        size_t pos = 0;
-        const uint64_t v = std::stoull(value, &pos);
-        if (pos != std::strlen(value))
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        fatal(flag, ": expected a number, got '", value, "'");
-    }
-}
 
 int
 replay(const std::vector<std::string> &paths, const fuzz::RunOptions &run)
@@ -114,119 +50,73 @@ int
 run(int argc, char **argv)
 {
     fuzz::FuzzOptions opts;
-    std::vector<std::string> replay_paths;
+    fuzz::RunOptions &exec = opts.run;
     std::string stats_out;
-    bool quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(std::cout);
-            return 0;
-        } else if (arg == "--replay") {
-            while (i + 1 < argc)
-                replay_paths.push_back(argv[++i]);
-            if (replay_paths.empty())
-                fatal("--replay requires at least one case file");
-        } else if (arg == "--iters") {
-            opts.iterations = parseNum("--iters", value());
-        } else if (arg == "--seed") {
-            opts.seed = parseNum("--seed", value());
-        } else if (arg == "--packets-min") {
-            opts.minPackets =
-                static_cast<unsigned>(parseNum("--packets-min", value()));
-        } else if (arg == "--packets-max") {
-            opts.maxPackets =
-                static_cast<unsigned>(parseNum("--packets-max", value()));
-        } else if (arg == "--flows") {
-            opts.maxFlows =
-                static_cast<unsigned>(parseNum("--flows", value()));
-        } else if (arg == "--inject-war-bug") {
-            opts.injectWarBug = true;
-        } else if (arg == "--inject-flush-bug") {
-            opts.injectFlushBug = true;
-        } else if (arg == "--ctl") {
-            opts.ctl = true;
-        } else if (arg == "--ctl-txns") {
-            opts.ctlMaxTxns =
-                static_cast<unsigned>(parseNum("--ctl-txns", value()));
-        } else if (arg == "--ctl-replicas") {
-            opts.run.ctlReplicas = static_cast<unsigned>(
-                parseNum("--ctl-replicas", value()));
-            opts.shrinkOpts.run.ctlReplicas = opts.run.ctlReplicas;
-        } else if (arg == "--engine") {
-            const char *spec = value();
-            sim::PipeSimConfig ec;
-            if (!spec || !sim::parseEngineSpec(spec, ec))
-                fatal("--engine expects interp, aot or aot-native");
-            opts.run.engine = ec.engine;
-            opts.run.aotBackend = ec.aotBackend;
-            // Shrinking must reproduce the divergence under the same
-            // engine that found it.
-            opts.shrinkOpts.run.engine = ec.engine;
-            opts.shrinkOpts.run.aotBackend = ec.aotBackend;
-        } else if (arg == "--sched") {
-            const char *spec = value();
-            if (!spec)
-                fatal("--sched expects dense or event");
-            const std::string mode = spec;
-            sim::SchedMode sm;
-            if (mode == "dense")
-                sm = sim::SchedMode::Dense;
-            else if (mode == "event")
-                sm = sim::SchedMode::EventDriven;
-            else
-                fatal("--sched expects dense or event, got '", mode, "'");
-            opts.run.schedMode = sm;
-            opts.shrinkOpts.run.schedMode = sm;
-        } else if (arg == "--host") {
-            opts.run.hostModel = true;
-            opts.shrinkOpts.run.hostModel = true;
-        } else if (arg == "--host-ring") {
-            const unsigned depth =
-                static_cast<unsigned>(parseNum("--host-ring", value()));
-            if (depth == 0)
-                fatal("--host-ring must be at least 1");
-            opts.run.hostModel = true;
-            opts.run.hostRingDepth = depth;
-            opts.shrinkOpts.run.hostModel = true;
-            opts.shrinkOpts.run.hostRingDepth = depth;
-        } else if (arg == "--paranoid") {
-            opts.run.paranoidChecks = true;
-            opts.shrinkOpts.run.paranoidChecks = true;
-        } else if (arg == "--stats-out") {
-            const char *path = value();
-            if (!path)
-                fatal("--stats-out requires a file path");
-            stats_out = path;
-        } else if (arg == "--no-shrink") {
-            opts.shrink = false;
-        } else if (arg == "--all") {
-            opts.stopAtFirstDivergence = false;
-        } else if (arg == "--corpus") {
-            const char *dir = value();
-            if (!dir)
-                fatal("--corpus requires a directory");
-            opts.corpusDir = dir;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else {
-            usage(std::cerr);
-            fatal("unknown option '", arg, "'");
-        }
-    }
-    if (opts.minPackets == 0 || opts.maxPackets < opts.minPackets)
-        fatal("--packets-min/--packets-max must satisfy 1 <= min <= max");
-    if (opts.maxFlows == 0)
-        fatal("--flows must be at least 1");
-    if (opts.ctl && opts.ctlMaxTxns == 0)
-        fatal("--ctl-txns must be at least 1");
-
-    if (!replay_paths.empty())
-        return replay(replay_paths, opts.run);
+    bool replay_mode = false, quiet = false;
+    cli::FlagTable flags(
+        "usage: ehdl-fuzz [options]\n"
+        "       ehdl-fuzz --replay CASE.ehdlcase [CASE...] [options]\n\n"
+        "Differential fuzzing of the compiled pipeline against the\n"
+        "reference VM. A campaign exits 1 when it finds a divergence; a\n"
+        "replay exits 1 when a case misses its recorded expectation. The\n"
+        "executor flags (--ctl-replicas to --paranoid) also apply to\n"
+        "shrinking and --replay.");
+    flags.toggle("--replay", "replay the CASE files instead of fuzzing",
+                 replay_mode)
+        .integer("--iters", "N", "iterations to run", opts.iterations, 0)
+        .integer("--seed", "N", "campaign seed", opts.seed, 0)
+        .integer("--packets-min", "N", "min packets per workload",
+                 opts.minPackets, 1, 1u << 16)
+        .integer("--packets-max", "N", "max packets per workload",
+                 opts.maxPackets, 1, 1u << 16)
+        .integer("--flows", "N", "max flows per workload", opts.maxFlows, 1,
+                 1u << 16)
+        .toggle("--inject-war-bug", "compile without WAR delay buffers",
+                opts.injectWarBug)
+        .toggle("--inject-flush-bug",
+                "compile without flush-evaluation blocks",
+                opts.injectFlushBug)
+        .toggle("--ctl", "interleave random host control-plane schedules "
+                "(map updates/deletes/lookups at random cycles) and "
+                "cross-check VM vs PipeSim vs sharded MultiPipeSim final "
+                "map state", opts.ctl)
+        .integer("--ctl-txns", "N", "max transactions per schedule",
+                 opts.ctlMaxTxns, 1, 1u << 16)
+        .integer("--ctl-replicas", "N", "MultiPipeSim replicas for --ctl "
+                 "cases; below 2 disables that backend", exec.ctlReplicas, 0,
+                 64);
+    cli::addEngineFlags(flags, exec.engine, exec.aotBackend, exec.schedMode,
+                        exec.paranoidChecks);
+    flags.toggle("--host", "attach a small-ring host DMA datapath to every "
+                 "pipeline backend; the differential contract must hold "
+                 "unchanged and drained host queues must conserve "
+                 "descriptors (consumed + shellDrops == PASS verdicts)",
+                 exec.hostModel)
+        .add({"--host-ring", "N", "ring depth of the --host model, implies "
+              "--host; small keeps backpressure paths hot",
+              [&exec](const std::string &v) {
+                  exec.hostModel = true;
+                  exec.hostRingDepth = static_cast<unsigned>(
+                      cli::parseInt("--host-ring", v, 1, 1u << 16));
+              },
+              std::to_string(exec.hostRingDepth)})
+        .toggle("--no-shrink", "keep reproducers unreduced", opts.shrink,
+                false)
+        .toggle("--all", "keep fuzzing past the first divergence",
+                opts.stopAtFirstDivergence, false)
+        .text("--corpus", "DIR", "write shrunk reproducers to DIR",
+              opts.corpusDir);
+    cli::addOutputFlags(flags, stats_out, &quiet);
+    const std::vector<std::string> cases = flags.parse(argc - 1, argv + 1);
+    if (opts.maxPackets < opts.minPackets)
+        fatal("--packets-max (", opts.maxPackets,
+              ") must be at least --packets-min (", opts.minPackets, ")");
+    if (replay_mode != !cases.empty())
+        fatal(replay_mode ? "--replay requires at least one case file"
+                          : "unexpected argument '" + cases.front() +
+                                "' (case files need --replay)");
+    if (replay_mode)
+        return replay(cases, exec);
 
     std::ostream *log = quiet ? nullptr : &std::cout;
     const fuzz::FuzzStats stats = fuzz::runFuzz(opts, log);
@@ -249,25 +139,8 @@ run(int argc, char **argv)
             std::cout << " -> " << rec.savedPath;
         std::cout << "\n";
     }
-    if (!stats_out.empty()) {
-        Json root;
-        Json campaign;
-        campaign.set("iterations", Json::integer(stats.iterations))
-            .set("compiled", Json::integer(stats.compiled))
-            .set("rejected", Json::integer(stats.rejected))
-            .set("divergences", Json::integer(stats.divergences))
-            .set("packetsRun", Json::integer(stats.packetsRun))
-            .set("vmInsns", Json::integer(stats.vmInsns));
-        root.set("campaign", std::move(campaign))
-            .set("engine", sim::engineJson(stats.engineInfo))
-            .set("pipeStats", sim::statsJson(stats.pipeAgg, 250'000'000));
-        std::ofstream out(stats_out);
-        if (!out)
-            fatal("cannot write '", stats_out, "'");
-        out << root.dump() << "\n";
-        if (!quiet)
-            std::cout << "stats written to " << stats_out << "\n";
-    }
+    if (!stats_out.empty())
+        cli::writeJson(stats_out, fuzz::campaignJson(stats), !quiet);
     return stats.divergences == 0 ? 0 : 1;
 }
 
@@ -276,13 +149,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return run(argc, argv);
-    } catch (const FatalError &e) {
-        std::cerr << "fatal: " << e.what() << "\n";
-        return 2;
-    } catch (const PanicError &e) {
-        std::cerr << "panic: " << e.what() << "\n";
-        return 3;
-    }
+    return cli::main("ehdl-fuzz", argc, argv, run);
 }

@@ -1,39 +1,33 @@
 /**
  * @file
- * ehdlc — the eHDL command-line compiler.
+ * ehdlc — the eHDL command-line compiler. Mirrors the paper's tool flow:
+ * eBPF in, VHDL out, no hardware expertise required (section 5.5).
  *
- * Mirrors the paper's tool flow: eBPF in, VHDL out, no hardware expertise
- * required (section 5.5: "eHDL starts from the eBPF bytecode ... and
- * generates the firmware ready to be loaded on the Xilinx U50").
- *
- * Usage:
- *   ehdlc compile <prog> [-o out.vhd] [--frame N] [--no-ilp]
- *                 [--no-fusion] [--no-pruning] [--report[=out.json]]
- *                 [--dump-after=<pass>] [--list-passes]
+ *   ehdlc compile <prog> [options]   # VHDL (+ testbench), compile report
  *   ehdlc disasm  <prog>
  *   ehdlc verify  <prog>
- *   ehdlc sim     <prog> [--packets N] [--flows N] [--zipf S] [--len N]
- *   ehdlc report  <prog>            # pipeline + resource summary
+ *   ehdlc report  <prog>             # pipeline + resource summary
+ *   ehdlc sim     <prog> [options]   # cycle-level run under traffic
  *
- * <prog> is a textual assembly file (see ebpf/asm.hpp for the syntax), a
- * raw bytecode file (.bin, 8-byte wire slots), an ELF relocatable
- * object (.o) produced by clang -target bpf, or app:<name> for one of
- * the built-in evaluation applications (app:firewall, app:router, ...).
- *
- * A program the compiler rejects prints *every* verifier/classification
- * diagnostic (not just the first) and exits nonzero. --report=<file>
- * writes the CompileReport JSON — per-pass wall times, diagnostics and
- * pipeline geometry — whether or not compilation succeeded.
+ * `ehdlc <command> --help` lists a command's flags, generated from the
+ * flag tables below. <prog> is textual assembly (ebpf/asm.hpp), raw
+ * bytecode (.bin), an ELF object from clang -target bpf, or app:<name>
+ * for a built-in app (apps::findApp), which also seeds its maps and
+ * shapes `sim` traffic with its protocol hints. A rejected program lists
+ * every diagnostic and exits 1; a bad flag or input exits 2.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "apps/apps.hpp"
+#include "cli.hpp"
 #include "common/logging.hpp"
 #include "ebpf/asm.hpp"
 #include "ebpf/codec.hpp"
@@ -49,7 +43,6 @@
 #include "net/pcap.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/nic_shell.hpp"
-#include "sim/pipe_sim.hpp"
 #include "sim/stats_json.hpp"
 #include "sim/traffic.hpp"
 
@@ -57,71 +50,46 @@ using namespace ehdl;
 
 namespace {
 
-std::string
-readFile(const std::string &path)
+const char kProgHelp[] =
+    "<prog>: textual assembly (.s), raw bytecode (.bin), an ELF object\n"
+    "built with clang -target bpf, or app:<name> for a built-in app\n"
+    "(program, map seeding and traffic hints; an unknown name lists\n"
+    "them).";
+
+/** Load <prog>: a file is a bare program, app:<name> a whole AppSpec. */
+apps::AppSpec
+loadInput(const std::string &path)
 {
+    if (path.rfind("app:", 0) == 0)
+        return apps::findApp(path);
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("cannot open '", path, "'");
-    std::ostringstream body;
-    body << in.rdbuf();
-    return body.str();
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string body = buf.str();
+    const std::string name = std::filesystem::path(path).stem().string();
+    apps::AppSpec spec;
+    spec.seedMaps = [](ebpf::MapSet &) {};
+    const std::vector<uint8_t> bytes(body.begin(), body.end());
+    if (body.size() >= 4 && std::memcmp(body.data(), "\x7f" "ELF", 4) == 0) {
+        spec.prog = ebpf::loadElf(bytes, name);
+    } else if (std::filesystem::path(path).extension() == ".bin") {
+        spec.prog.name = name;
+        spec.prog.insns = ebpf::decode(bytes);
+    } else {
+        spec.prog = ebpf::assemble(body, name);
+    }
+    return spec;
 }
 
-/** Resolve an app:<name> reference to a built-in evaluation program. */
+/** Parse a flagless command's one <prog> argument. */
 ebpf::Program
-loadBuiltinApp(const std::string &name)
+loadOnly(const char *cmd, int argc, char **argv)
 {
-    static const std::pair<const char *, apps::AppSpec (*)()> kApps[] = {
-        {"toy", apps::makeToyCounter},
-        {"firewall", apps::makeSimpleFirewall},
-        {"router", apps::makeRouterIpv4},
-        {"tunnel", apps::makeTxIpTunnel},
-        {"dnat", apps::makeDnat},
-        {"suricata", apps::makeSuricataFilter},
-        {"leaky_bucket", apps::makeLeakyBucket},
-        {"lb", apps::makeL4LoadBalancer},
-        {"monitor", apps::makeMonitorSampler},
-    };
-    for (const auto &[key, make] : kApps)
-        if (name == key)
-            return make().prog;
-    std::string known;
-    for (const auto &[key, make] : kApps)
-        known += std::string(known.empty() ? "" : ", ") + key;
-    fatal("unknown built-in app '", name, "' (known: ", known, ")");
-}
-
-/** Load a program from assembly, raw bytecode, an ELF object or app:. */
-ebpf::Program
-loadProgram(const std::string &path)
-{
-    if (path.rfind("app:", 0) == 0)
-        return loadBuiltinApp(path.substr(4));
-    const std::string body = readFile(path);
-    const std::string name = [&path] {
-        const size_t slash = path.find_last_of('/');
-        const size_t start = slash == std::string::npos ? 0 : slash + 1;
-        const size_t dot = path.find_last_of('.');
-        return path.substr(start,
-                           dot == std::string::npos || dot < start
-                               ? std::string::npos
-                               : dot - start);
-    }();
-    if (body.size() >= 4 && std::memcmp(body.data(), "\x7f"
-                                                     "ELF",
-                                        4) == 0) {
-        return ebpf::loadElf(
-            std::vector<uint8_t>(body.begin(), body.end()), name);
-    }
-    if (path.size() > 4 && path.substr(path.size() - 4) == ".bin") {
-        ebpf::Program prog;
-        prog.name = name;
-        prog.insns =
-            ebpf::decode(std::vector<uint8_t>(body.begin(), body.end()));
-        return prog;
-    }
-    return ebpf::assemble(body, name);
+    const cli::FlagTable flags("usage: ehdlc " + std::string(cmd) +
+                               " <prog>\n\n" + kProgHelp);
+    return loadInput(cli::single(flags.parse(argc, argv), "<prog>")).prog;
 }
 
 void
@@ -152,66 +120,70 @@ printReport(const hdl::Pipeline &pipe)
                 report.bramFrac * 100);
 }
 
+/** Write @p text to @p path and report its size as @p what. */
 void
-listPasses()
+writeText(const std::string &path, const std::string &text, const char *what)
 {
-    std::printf("compiler passes, in order:\n");
-    for (const hdl::Pass &pass : hdl::compilerPasses())
-        std::printf("  %-14s %s\n", pass.name, pass.summary);
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        fatal("cannot write '", path, "'");
+    out << text;
+    std::printf("wrote %zu bytes of %s to %s\n", text.size(), what,
+                path.c_str());
 }
 
 int
 cmdCompile(int argc, char **argv)
 {
-    std::string out_path;
-    std::string report_json;
-    std::string dump_after;
-    bool report = false;
-    bool testbench = false;
+    std::string out_path, report_json, dump_after;
+    bool report = false, testbench = false, list_passes = false;
     hdl::PipelineOptions options;
-    std::string input;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "-o" && i + 1 < argc)
-            out_path = argv[++i];
-        else if (arg == "--testbench")
-            testbench = true;
-        else if (arg == "--frame" && i + 1 < argc)
-            options.frameBytes =
-                static_cast<unsigned>(std::stoul(argv[++i]));
-        else if (arg == "--no-ilp")
-            options.enableIlp = false;
-        else if (arg == "--no-fusion")
-            options.enableFusion = false;
-        else if (arg == "--no-pruning")
-            options.enablePruning = false;
-        else if (arg == "--report")
-            report = true;
-        else if (arg.rfind("--report=", 0) == 0)
-            report_json = arg.substr(9);
-        else if (arg == "--dump-after" && i + 1 < argc)
-            dump_after = argv[++i];
-        else if (arg.rfind("--dump-after=", 0) == 0)
-            dump_after = arg.substr(13);
-        else if (arg == "--list-passes") {
-            listPasses();
-            return 0;
-        } else if (!arg.empty() && arg[0] != '-')
-            input = arg;
-        else
-            fatal("unknown option '", arg, "'");
+    cli::FlagTable flags(
+        "usage: ehdlc compile <prog> [options]\n\n"
+        "Compile <prog> into a VHDL pipeline. A rejected program exits 1\n"
+        "listing every diagnostic.\n\n" +
+        std::string(kProgHelp));
+    flags.text("-o", "FILE", "VHDL output (default <name>_pipeline.vhd)",
+               out_path)
+        .toggle("--testbench", "also write FILE_tb.vhd, which drives one "
+                "packet through the pipeline", testbench)
+        .integer("--frame", "N", "bytes per packet frame (section 4.2)",
+                 options.frameBytes, 1, 65536)
+        .toggle("--no-ilp", "no parallel rows (section 3.3)",
+                options.enableIlp, false)
+        .toggle("--no-fusion", "no instruction fusion (section 3.2)",
+                options.enableFusion, false)
+        .toggle("--no-pruning", "no state pruning (section 4.3)",
+                options.enablePruning, false)
+        .add({"--report", "[=FILE]",
+              "print the pipeline and resource summary; with =FILE write "
+              "the CompileReport JSON (per-pass times, diagnostics, "
+              "geometry) to FILE instead, even when compilation fails",
+              [&](const std::string &v) {
+                  report |= v.empty();
+                  if (!v.empty())
+                      report_json = v;
+              },
+              ""})
+        .text("--dump-after", "PASS", "print the IR after compiler pass PASS",
+              dump_after)
+        .toggle("--list-passes", "list the compiler passes and exit",
+                list_passes);
+    const std::vector<std::string> args = flags.parse(argc, argv);
+    if (list_passes) {
+        std::printf("compiler passes, in order:\n");
+        for (const hdl::Pass &pass : hdl::compilerPasses())
+            std::printf("  %-14s %s\n", pass.name, pass.summary);
+        return 0;
     }
-    if (input.empty())
-        fatal("compile: missing input file");
     if (!dump_after.empty() && hdl::findPass(dump_after) == nullptr) {
         std::string names;
         for (const std::string &n : hdl::passNames())
-            names += (names.empty() ? "" : ", ") + n;
-        fatal("--dump-after: unknown pass '", dump_after, "' (passes: ",
-              names, ")");
+            names += (names.empty() ? "" : "|") + n;
+        cli::badValue("--dump-after", "one of " + names, dump_after);
     }
 
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadInput(cli::single(args, "<prog>")).prog;
     hdl::PassObserver observer;
     if (!dump_after.empty()) {
         observer = [&dump_after](const std::string &pass,
@@ -249,34 +221,21 @@ cmdCompile(int argc, char **argv)
     const hdl::Pipeline &pipe = *result.pipeline;
     if (report)
         printReport(pipe);
-    const std::string vhdl = hdl::generateVhdl(pipe);
     if (out_path.empty())
         out_path = prog.name + "_pipeline.vhd";
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out)
-        fatal("cannot write '", out_path, "'");
-    out << vhdl;
-    std::printf("wrote %zu bytes of VHDL to %s\n", vhdl.size(),
-                out_path.c_str());
+    writeText(out_path, hdl::generateVhdl(pipe), "VHDL");
     if (testbench) {
-        net::PacketSpec spec;
-        const net::Packet pkt = net::PacketFactory::build(spec);
-        const std::string tb = hdl::generateTestbench(pipe, pkt.bytes());
-        const std::string tb_path = out_path + "_tb.vhd";
-        std::ofstream tb_out(tb_path, std::ios::binary);
-        if (!tb_out)
-            fatal("cannot write '", tb_path, "'");
-        tb_out << tb;
-        std::printf("wrote %zu bytes of testbench to %s\n", tb.size(),
-                    tb_path.c_str());
+        const net::Packet pkt = net::PacketFactory::build({});
+        writeText(out_path + "_tb.vhd",
+                  hdl::generateTestbench(pipe, pkt.bytes()), "testbench");
     }
     return 0;
 }
 
 int
-cmdDisasm(const std::string &input)
+cmdDisasm(int argc, char **argv)
 {
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadOnly("disasm", argc, argv);
     for (const ebpf::MapDef &def : prog.maps)
         std::printf(".map %s %s %u %u %u\n", def.name.c_str(),
                     ebpf::mapKindName(def.kind).c_str(), def.keySize,
@@ -286,9 +245,9 @@ cmdDisasm(const std::string &input)
 }
 
 int
-cmdVerify(const std::string &input)
+cmdVerify(int argc, char **argv)
 {
-    const ebpf::Program prog = loadProgram(input);
+    const ebpf::Program prog = loadOnly("verify", argc, argv);
     const ebpf::VerifyResult vr = ebpf::verify(prog, true);
     if (vr.ok) {
         std::printf("%s: OK (%zu instructions%s)\n", prog.name.c_str(),
@@ -302,248 +261,86 @@ cmdVerify(const std::string &input)
     return 1;
 }
 
-/** Report which engine actually runs, including any native fallback. */
-void
-printEngine(const sim::EngineInfo &info)
+int
+cmdReport(int argc, char **argv)
 {
-    std::printf("engine: %s\n", info.describe().c_str());
-    if (!info.fallbackReason.empty())
-        std::printf("  native backend unavailable: %s\n",
-                    info.fallbackReason.c_str());
-}
-
-/** Machine-readable stats for `sim --stats-out` (both backends). */
-void
-writeSimStats(const std::string &path, const std::string &prog_name,
-              unsigned replicas, bool threaded, const std::string &sched,
-              const sim::EngineInfo &engine, const sim::PipeSimStats &stats,
-              uint64_t clock_hz, const sim::PipeSimPhaseProfile &phases,
-              const host::HostDatapath *host = nullptr)
-{
-    Json root;
-    root.set("app", Json::str(prog_name))
-        .set("replicas", Json::integer(replicas))
-        .set("threaded", Json::boolean(threaded))
-        .set("sched", Json::str(sched))
-        .set("engine", sim::engineJson(engine))
-        .set("stats", sim::statsJson(stats, clock_hz));
-    if (phases.enabled)
-        root.set("phases", counters::toJson(phases));
-    if (host != nullptr)
-        root.set("host", host::hostDatapathJson(*host));
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write '", path, "'");
-    out << root.dump() << "\n";
-    std::printf("stats written to %s\n", path.c_str());
-}
-
-/** Human-readable host-datapath summary after the drain. */
-void
-printHostSummary(const host::HostDatapath &host)
-{
-    const host::HostQueueCounters t = host.totals();
-    std::printf("  host: %llu consumed (%.1f MB), %llu shell drops, "
-                "%llu IRQs (%llu count, %llu timer)\n",
-                static_cast<unsigned long long>(t.consumed),
-                static_cast<double>(t.consumedBytes) / 1e6,
-                static_cast<unsigned long long>(t.shellDrops),
-                static_cast<unsigned long long>(t.interrupts),
-                static_cast<unsigned long long>(t.countTriggeredIrqs),
-                static_cast<unsigned long long>(t.timerTriggeredIrqs));
-    for (unsigned q = 0; q < host.numQueues(); ++q) {
-        const host::HostQueue &hq = host.queue(q);
-        std::printf("  host queue %u: %llu consumed, %llu drops, "
-                    "ring occupancy p50 %u / p99 %u\n", q,
-                    static_cast<unsigned long long>(hq.counters().consumed),
-                    static_cast<unsigned long long>(
-                        hq.counters().shellDrops),
-                    hq.occupancyPercentile(0.50),
-                    hq.occupancyPercentile(0.99));
-    }
-}
-
-/** Parse `--coalesce COUNT[,TIMEOUT]` into @p config. */
-void
-parseCoalesceSpec(const std::string &spec, host::HostDmaConfig &config)
-{
-    const size_t comma = spec.find(',');
-    config.coalesceCount =
-        static_cast<unsigned>(std::stoul(spec.substr(0, comma)));
-    if (comma != std::string::npos)
-        config.coalesceTimeoutCycles = std::stoull(spec.substr(comma + 1));
+    printReport(hdl::compile(loadOnly("report", argc, argv)));
+    return 0;
 }
 
 int
 cmdSim(int argc, char **argv)
 {
-    std::string input;
-    std::string pcap_in, pcap_out;
-    std::string stats_out;
-    int packets = 10000;
-    unsigned replicas = 1;
-    bool threaded = false;
-    std::string engine_spec = "interp";
-    std::string sched_spec = "dense";
-    bool paranoid = false;
-    bool profile_phases = false;
+    std::string pcap_in, pcap_out, stats_out;
+    uint64_t packets = 10000;
     bool host_rings = false;
+    sim::MultiPipeSimConfig config;
+    config.pipe.inputQueueCapacity = 1u << 20;
     host::HostDmaConfig host_config;
     sim::TrafficConfig traffic;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--packets" && i + 1 < argc)
-            packets = std::stoi(argv[++i]);
-        else if (arg == "--host-rings")
-            host_rings = true;
-        else if (arg == "--ring-depth" && i + 1 < argc) {
-            host_rings = true;
-            host_config.ringDepth =
-                static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--host-rate" && i + 1 < argc) {
-            host_rings = true;
-            host_config.hostRateMpps = std::stod(argv[++i]);
-        } else if (arg == "--coalesce" && i + 1 < argc) {
-            host_rings = true;
-            parseCoalesceSpec(argv[++i], host_config);
-        } else if (arg == "--host-frac" && i + 1 < argc)
-            traffic.hostFlowFraction = std::stod(argv[++i]);
-        else if (arg == "--engine" && i + 1 < argc)
-            engine_spec = argv[++i];
-        else if (arg == "--sched" && i + 1 < argc)
-            sched_spec = argv[++i];
-        else if (arg == "--paranoid")
-            paranoid = true;
-        else if (arg == "--profile-phases")
-            profile_phases = true;
-        else if (arg == "--pcap-in" && i + 1 < argc)
-            pcap_in = argv[++i];
-        else if (arg == "--pcap-out" && i + 1 < argc)
-            pcap_out = argv[++i];
-        else if (arg == "--stats-out" && i + 1 < argc)
-            stats_out = argv[++i];
-        else if (arg == "--flows" && i + 1 < argc)
-            traffic.numFlows = std::stoull(argv[++i]);
-        else if (arg == "--zipf" && i + 1 < argc)
-            traffic.zipfS = std::stod(argv[++i]);
-        else if (arg == "--len" && i + 1 < argc)
-            traffic.packetLen =
-                static_cast<uint32_t>(std::stoul(argv[++i]));
-        else if (arg == "--replicas" && i + 1 < argc)
-            replicas = static_cast<unsigned>(std::stoul(argv[++i]));
-        else if (arg == "--threaded")
-            threaded = true;
-        else if (!arg.empty() && arg[0] != '-')
-            input = arg;
-        else
-            fatal("unknown option '", arg, "'");
-    }
-    if (input.empty())
-        fatal("sim: missing input file");
-    sim::SchedMode sched_mode;
-    if (sched_spec == "dense")
-        sched_mode = sim::SchedMode::Dense;
-    else if (sched_spec == "event")
-        sched_mode = sim::SchedMode::EventDriven;
-    else
-        fatal("unknown sched mode '", sched_spec, "' (dense, event)");
+    cli::FlagTable flags("usage: ehdlc sim <prog> [options]\n\n"
+                         "Simulate the compiled pipeline cycle by cycle "
+                         "under generated or\nreplayed traffic.\n\n" +
+                         std::string(kProgHelp));
+    cli::addWorkloadFlags(flags, packets, traffic.numFlows);
+    flags.real("--zipf", "S", "Zipf skew of flow popularity (0 = uniform)",
+               traffic.zipfS, 0, 100)
+        .integer("--len", "N", "frame bytes (0 = IMIX size distribution)",
+                 traffic.packetLen, 0, 65535)
+        .text("--pcap-in", "FILE", "replay FILE instead of generated traffic",
+              pcap_in)
+        .text("--pcap-out", "FILE", "write TX/redirected packets to FILE",
+              pcap_out);
+    cli::addReplicaFlags(flags, config.numReplicas, config.threaded);
+    cli::addEngineFlags(flags, config.pipe.engine, config.pipe.aotBackend,
+                        config.pipe.schedMode, config.pipe.paranoidChecks);
+    flags.toggle("--profile-phases", "time the cycle-core phases (adds "
+                 "\"phases\" to --stats-out)", config.pipe.profilePhases);
+    cli::addHostFlags(flags, host_rings, host_config,
+                      traffic.hostFlowFraction);
+    cli::addOutputFlags(flags, stats_out, nullptr);
+    const apps::AppSpec spec =
+        loadInput(cli::single(flags.parse(argc, argv), "<prog>"));
+    const unsigned replicas = config.numReplicas;
+    config.threaded = config.threaded && replicas > 1;
+    traffic.ipProto = spec.ipProto;
+    traffic.reverseFraction = spec.reverseFraction;
 
-    const ebpf::Program prog = loadProgram(input);
-    const hdl::Pipeline pipe = hdl::compile(prog);
+    const hdl::Pipeline pipe = hdl::compile(spec.prog);
     printReport(pipe);
-
-    if (replicas > 1) {
-        // Multi-queue mode: N sharded replicas behind the RSS dispatch.
-        ebpf::MapSet maps(prog.maps);
-        sim::MultiPipeSimConfig mconfig;
-        mconfig.numReplicas = replicas;
-        mconfig.threaded = threaded;
-        mconfig.pipe.inputQueueCapacity = 1u << 20;
-        mconfig.pipe.schedMode = sched_mode;
-        mconfig.pipe.paranoidChecks = paranoid;
-        mconfig.pipe.profilePhases = profile_phases;
-        if (!sim::parseEngineSpec(engine_spec, mconfig.pipe))
-            fatal("unknown engine '", engine_spec,
-                  "' (interp, aot, aot-native)");
-        sim::MultiPipeSim multi(pipe, maps, mconfig);
-        printEngine(multi.engineInfo());
-        std::unique_ptr<host::HostDatapath> host;
-        if (host_rings) {
-            host_config.numQueues = replicas;
-            host_config.clockHz = mconfig.pipe.clockHz;
-            host = std::make_unique<host::HostDatapath>(host_config);
-            host->attach(multi);
-        }
-        if (!pcap_in.empty()) {
-            const std::vector<net::Packet> replay = net::readPcap(pcap_in);
-            packets = static_cast<int>(replay.size());
-            for (const net::Packet &pkt : replay)
-                multi.offer(pkt);
-        } else {
-            sim::TrafficGen gen(traffic);
-            for (int i = 0; i < packets; ++i)
-                multi.offer(gen.next());
-        }
-        multi.drain();
-        const sim::PipeSimStats agg = multi.stats();
-        std::printf("\nsimulated %d packets across %u replicas:\n",
-                    packets, replicas);
-        std::printf("  modeled aggregate %.1f Mpps over %llu cycles\n",
-                    agg.throughputMpps(mconfig.pipe.clockHz),
-                    static_cast<unsigned long long>(agg.cycles));
-        for (size_t r = 0; r < multi.numReplicas(); ++r) {
-            const sim::PipeSimStats &s = multi.replica(r).stats();
-            std::printf("  queue %zu: %llu packets, %llu cycles, "
-                        "%llu flushes\n",
-                        r, static_cast<unsigned long long>(s.completed),
-                        static_cast<unsigned long long>(s.cycles),
-                        static_cast<unsigned long long>(s.flushEvents));
-        }
-        if (host) {
-            host->finishAll();
-            printHostSummary(*host);
-        }
-        if (!stats_out.empty())
-            writeSimStats(stats_out, prog.name, replicas, threaded,
-                          sched_spec, multi.engineInfo(), agg,
-                          mconfig.pipe.clockHz, multi.phaseProfile(),
-                          host.get());
-        return 0;
-    }
-
-    ebpf::MapSet maps(prog.maps);
-    sim::PipeSimConfig config;
-    config.inputQueueCapacity = 1u << 20;
-    config.schedMode = sched_mode;
-    config.paranoidChecks = paranoid;
-    config.profilePhases = profile_phases;
-    if (!sim::parseEngineSpec(engine_spec, config))
-        fatal("unknown engine '", engine_spec,
-              "' (interp, aot, aot-native)");
-    sim::PipeSim sim(pipe, maps, config);
-    printEngine(sim.engineInfo());
+    ebpf::MapSet maps(spec.prog.maps);
+    spec.seedMaps(maps);
+    // One replica is a MultiPipeSim of one: the RSS dispatch sends every
+    // packet to it and its counters are the aggregate.
+    sim::MultiPipeSim multi(pipe, maps, config);
+    const sim::EngineInfo &engine = multi.engineInfo();
+    std::printf("engine: %s\n", engine.describe().c_str());
+    if (!engine.fallbackReason.empty())
+        std::printf("  native backend unavailable: %s\n",
+                    engine.fallbackReason.c_str());
     std::unique_ptr<host::HostDatapath> host;
     if (host_rings) {
-        host_config.numQueues = 1;
-        host_config.clockHz = config.clockHz;
+        host_config.numQueues = replicas;
+        host_config.clockHz = config.pipe.clockHz;
         host = std::make_unique<host::HostDatapath>(host_config);
-        host->attach(sim);
+        host->attach(multi);
     }
     if (!pcap_in.empty()) {
         const std::vector<net::Packet> replay = net::readPcap(pcap_in);
-        packets = static_cast<int>(replay.size());
+        packets = replay.size();
         for (const net::Packet &pkt : replay)
-            sim.offer(pkt);
+            multi.offer(pkt);
     } else {
         sim::TrafficGen gen(traffic);
-        for (int i = 0; i < packets; ++i)
-            sim.offer(gen.next());
+        for (uint64_t i = 0; i < packets; ++i)
+            multi.offer(gen.next());
     }
-    sim.drain();
+    multi.drain();
+    const std::vector<sim::PacketOutcome> outcomes = multi.outcomes();
     if (!pcap_out.empty()) {
         // Emit forwarded packets (TX/redirect) as seen on the wire.
         std::vector<net::Packet> emitted;
-        for (const sim::PacketOutcome &out : sim.outcomes()) {
+        for (const sim::PacketOutcome &out : outcomes) {
             if (out.action == ebpf::XdpAction::Tx ||
                 out.action == ebpf::XdpAction::Redirect) {
                 net::Packet pkt(out.bytes);
@@ -556,67 +353,88 @@ cmdSim(int argc, char **argv)
                     pcap_out.c_str());
     }
 
+    const sim::PipeSimStats stats = multi.stats();
+    const sim::NicShellConfig shell;
+    const double line_mpps =
+        shell.lineRateMpps(traffic.packetLen ? traffic.packetLen : 64);
+    const double pipe_mpps = stats.throughputMpps(config.pipe.clockHz);
+    const double cycle_ns = 1e9 / static_cast<double>(config.pipe.clockHz);
     uint64_t actions[5] = {};
-    for (const sim::PacketOutcome &out : sim.outcomes())
+    double latency_ns = 0;
+    for (const sim::PacketOutcome &out : outcomes) {
         actions[static_cast<uint32_t>(out.action) % 5]++;
-    const sim::EndToEndResult e2e =
-        sim::summarizeEndToEnd(sim, traffic.packetLen ? traffic.packetLen
-                                                      : 64);
-    std::printf("\nsimulated %d packets from %llu flows:\n", packets,
+        latency_ns +=
+            static_cast<double>(out.exitCycle - out.entryCycle + 1) * cycle_ns;
+    }
+    if (!outcomes.empty())
+        latency_ns /= static_cast<double>(outcomes.size());
+    std::printf("\nsimulated %llu packets from %llu flows:\n",
+                static_cast<unsigned long long>(packets),
                 static_cast<unsigned long long>(traffic.numFlows));
     std::printf("  throughput %.1f Mpps (pipeline %.1f, line rate %.1f)\n",
-                e2e.throughputMpps, e2e.pipelineMpps, e2e.lineRateMpps);
-    std::printf("  latency %.0f ns end to end\n", e2e.avgLatencyNs);
+                std::min(pipe_mpps, line_mpps), pipe_mpps, line_mpps);
+    std::printf("  latency %.0f ns end to end\n",
+                shell.shellLatencyNs + latency_ns);
     std::printf("  flushes %llu, lost %llu\n",
-                static_cast<unsigned long long>(e2e.flushEvents),
-                static_cast<unsigned long long>(e2e.lostPackets));
+                static_cast<unsigned long long>(stats.flushEvents),
+                static_cast<unsigned long long>(stats.lost));
     for (uint32_t a = 0; a < 5; ++a) {
         if (actions[a])
             std::printf("  %s: %llu\n",
-                        ebpf::xdpActionName(
-                            static_cast<ebpf::XdpAction>(a))
+                        ebpf::xdpActionName(static_cast<ebpf::XdpAction>(a))
                             .c_str(),
                         static_cast<unsigned long long>(actions[a]));
     }
+    for (size_t r = 0; replicas > 1 && r < replicas; ++r) {
+        const sim::PipeSimStats &s = multi.replica(r).stats();
+        std::printf("  queue %zu: %llu packets, %llu cycles, %llu flushes\n",
+                    r, static_cast<unsigned long long>(s.completed),
+                    static_cast<unsigned long long>(s.cycles),
+                    static_cast<unsigned long long>(s.flushEvents));
+    }
     if (host) {
         host->finishAll();
-        printHostSummary(*host);
+        cli::printHostSummary(*host);
     }
-    if (!stats_out.empty())
-        writeSimStats(stats_out, prog.name, 1, false, sched_spec,
-                      sim.engineInfo(), sim.stats(), config.clockHz,
-                      sim.phaseProfile(), host.get());
+    if (!stats_out.empty()) {
+        Json root;
+        root.set("app", Json::str(spec.prog.name))
+            .set("replicas", Json::integer(replicas))
+            .set("threaded", Json::boolean(config.threaded))
+            .set("sched", Json::str(config.pipe.schedMode ==
+                                            sim::SchedMode::EventDriven
+                                        ? "event"
+                                        : "dense"))
+            .set("engine", sim::engineJson(engine))
+            .set("stats", sim::statsJson(stats, config.pipe.clockHz));
+        const sim::PipeSimPhaseProfile phases = multi.phaseProfile();
+        if (phases.enabled)
+            root.set("phases", counters::toJson(phases));
+        if (host)
+            root.set("host", host::hostDatapathJson(*host));
+        cli::writeJson(stats_out, root, true);
+    }
     return 0;
 }
 
-void
-usage()
+int
+run(int argc, char **argv)
 {
-    std::printf(
-        "ehdlc — eBPF/XDP to hardware pipeline compiler\n"
-        "\n"
-        "usage:\n"
-        "  ehdlc compile <prog> [-o out.vhd] [--frame N] [--no-ilp]\n"
-        "                [--no-fusion] [--no-pruning] [--report[=out.json]]\n"
-        "                [--dump-after=<pass>] [--list-passes] [--testbench]\n"
-        "  ehdlc disasm  <prog>\n"
-        "  ehdlc verify  <prog>\n"
-        "  ehdlc report  <prog>\n"
-        "  ehdlc sim     <prog> [--packets N] [--flows N] [--zipf S] [--len N]\n"
-        "                [--pcap-in f] [--pcap-out f] [--replicas N] [--threaded]\n"
-        "                [--engine interp|aot|aot-native] [--sched dense|event]\n"
-        "                [--paranoid] [--profile-phases] [--stats-out f]\n"
-        "                [--host-rings] [--ring-depth N] [--host-rate MPPS]\n"
-        "                [--coalesce COUNT[,TIMEOUT]] [--host-frac F]\n"
-        "\n"
-        "<prog>: textual assembly (.s), raw bytecode (.bin), an ELF object\n"
-        "built with clang -target bpf, or app:<name> for a built-in\n"
-        "evaluation program (app:firewall, app:router, app:tunnel,\n"
-        "app:dnat, app:suricata, app:toy, ...).\n"
-        "\n"
-        "compile exits nonzero listing every diagnostic when the program\n"
-        "is rejected; --report=<file> writes per-pass timings, diagnostics\n"
-        "and pipeline geometry as JSON.\n");
+    static const std::pair<const char *, int (*)(int, char **)> kCommands[] =
+        {{"compile", cmdCompile}, {"disasm", cmdDisasm},
+         {"verify", cmdVerify},   {"report", cmdReport},
+         {"sim", cmdSim}};
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    for (const auto &[name, command] : kCommands)
+        if (cmd == name)
+            return command(argc - 2, argv + 2);
+    std::printf("ehdlc — eBPF/XDP to hardware pipeline compiler\n\n"
+                "usage: ehdlc compile|disasm|verify|report|sim <prog> "
+                "[options]\n"
+                "       ehdlc <command> --help    flags of one command\n");
+    if (argc < 2 || cmd == "--help" || cmd == "-h")
+        return 0;
+    fatal("unknown command '", cmd, "'");
 }
 
 }  // namespace
@@ -624,28 +442,5 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 3) {
-        usage();
-        return argc < 2 ? 0 : 1;
-    }
-    const std::string cmd = argv[1];
-    try {
-        if (cmd == "compile")
-            return cmdCompile(argc - 2, argv + 2);
-        if (cmd == "disasm")
-            return cmdDisasm(argv[2]);
-        if (cmd == "verify")
-            return cmdVerify(argv[2]);
-        if (cmd == "report") {
-            printReport(hdl::compile(loadProgram(argv[2])));
-            return 0;
-        }
-        if (cmd == "sim")
-            return cmdSim(argc - 2, argv + 2);
-        usage();
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "ehdlc: %s\n", e.what());
-        return 1;
-    }
+    return cli::main("ehdlc", argc, argv, run);
 }
