@@ -7,7 +7,7 @@
  *   2. Compile it into a hardware pipeline with hdl::compile().
  *   3. Inspect the generated design and emit VHDL.
  *   4. Run packets through the cycle-level simulator and compare against
- *      the sequential reference VM.
+ *      the sequential reference VM (exits 1 when they differ).
  *
  * Build and run:  ./build/examples/quickstart
  */
@@ -15,9 +15,9 @@
 #include <cstdio>
 
 #include "common/bitops.hpp"
+#include "ctl/controller.hpp"
 #include "ebpf/asm.hpp"
 #include "ebpf/disasm.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "hdl/resources.hpp"
 #include "hdl/vhdl.hpp"
@@ -80,20 +80,17 @@ main()
                 vhdl.size(), vhdl.c_str());
 
     // --- 4. Simulate and cross-check against the VM. --------------------
-    ebpf::MapSet sim_maps(prog.maps), vm_maps(prog.maps);
+    ebpf::MapSet sim_maps(prog.maps);
     sim::PipeSimConfig config;
     config.inputQueueCapacity = 4096;
     sim::PipeSim sim(pipe, sim_maps, config);
-    ebpf::Vm vm(prog, vm_maps);
 
     net::PacketSpec spec;
+    std::vector<net::Packet> packets;
     for (uint64_t i = 1; i <= 1000; ++i) {
-        net::Packet pkt = net::PacketFactory::build(spec);
-        pkt.id = i;
-        sim.offer(pkt);
-        net::Packet copy = net::PacketFactory::build(spec);
-        copy.id = i;
-        vm.run(copy);
+        packets.push_back(net::PacketFactory::build(spec));
+        packets.back().id = i;
+        sim.offer(packets.back());
     }
     sim.drain();
 
@@ -102,9 +99,15 @@ main()
                 "avg latency %.0f ns\n",
                 static_cast<unsigned long long>(sim.stats().completed),
                 sim.stats().throughputMpps(250000000), sim.avgLatencyNs());
-    std::printf("pipeline and VM map state %s\n",
-                ebpf::MapSet::equal(sim_maps, vm_maps) ? "MATCH"
-                                                       : "DIFFER");
+    // The reference VM runs the same packets one at a time; the pipeline
+    // must agree on every verdict, every output byte and the final maps.
+    ebpf::MapSet vm_maps(prog.maps);
+    if (const auto m = ctl::checkReplicaAgainstVm(
+            prog, {}, packets, {}, 0, vm_maps, sim.outcomes(), sim_maps)) {
+        std::printf("pipeline and VM DIFFER on %s\n", m->describe().c_str());
+        return 1;
+    }
+    std::printf("pipeline and VM MATCH\n");
     std::vector<uint8_t> key(4, 0);
     storeLe<uint32_t>(key.data(), 1);
     std::printf("IPv4 counter (host map read): %llu\n",

@@ -4,6 +4,7 @@
 #include <exception>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -35,6 +36,27 @@ quiesce(sim::PipeSim &s)
         if (s.cycle() > guard)
             panic("ctl quiesce did not empty the pipeline (livelock?)");
     }
+}
+
+/**
+ * Where two byte strings first differ: "len A vs B" plus, when a common
+ * offset differs, the offset and both byte values.
+ */
+std::string
+hexPreview(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
+{
+    std::ostringstream os;
+    size_t first = 0;
+    const size_t n = std::min(a.size(), b.size());
+    while (first < n && a[first] == b[first])
+        ++first;
+    os << "len " << a.size() << " vs " << b.size();
+    if (first < n) {
+        os << ", first differing byte at offset " << first << " (0x"
+           << std::hex << static_cast<int>(a[first]) << " vs 0x"
+           << static_cast<int>(b[first]) << std::dec << ")";
+    }
+    return os.str();
 }
 
 }  // namespace
@@ -413,6 +435,7 @@ replayScheduleOnVm(const ebpf::Program &prog,
         o.redirectIfindex = r.redirectIfindex;
         o.insnsExecuted = r.insnsExecuted;
         o.bytes = copy.bytes();
+        o.trapReason = r.trapReason;
         out.outcomes.push_back(std::move(o));
     }
     applyDue(UINT64_MAX);  // transactions after the last retirement
@@ -420,45 +443,82 @@ replayScheduleOnVm(const ebpf::Program &prog,
 }
 
 std::string
+VmMismatch::describe() const
+{
+    std::string out = field;
+    if (packetId != 0)
+        out += " (packet " + std::to_string(packetId) + ")";
+    if (!detail.empty())
+        out += ": " + detail;
+    return out;
+}
+
+std::optional<VmMismatch>
 checkReplicaAgainstVm(
     const ebpf::Program &prog,
     const std::map<std::string, const ebpf::Program *> &programs,
     const std::vector<net::Packet> &packets, const CtlRunReport &report,
     unsigned replica, ebpf::MapSet &vmMaps,
     const std::vector<sim::PacketOutcome> &outcomes,
-    const ebpf::MapSet &devMaps)
+    const ebpf::MapSet &devMaps, uint64_t *vmInsns)
 {
     const CtlVmReplayResult replay = replayScheduleOnVm(
         prog, programs, packets, report, replica, vmMaps);
+    if (vmInsns != nullptr)
+        for (const CtlVmOutcome &ref : replay.outcomes)
+            *vmInsns += ref.insnsExecuted;
     using detail::formatParts;
     if (outcomes.size() != replay.outcomes.size())
-        return formatParts("replica ", replica, " completed ",
-                           outcomes.size(), " packets, VM replay produced ",
-                           replay.outcomes.size());
+        return VmMismatch{0, "completion",
+                          formatParts(outcomes.size(), " of ",
+                                      replay.outcomes.size(),
+                                      " packets completed")};
+    // The pipeline retires in offer order, so outcomes align with the
+    // replay positionally.
     for (size_t i = 0; i < outcomes.size(); ++i) {
         const sim::PacketOutcome &dev = outcomes[i];
         const CtlVmOutcome &ref = replay.outcomes[i];
         if (dev.id != ref.id)
-            return formatParts("replica ", replica,
-                               " retire order differs at ", i,
-                               " (pipeline packet ", dev.id, ", vm packet ",
-                               ref.id, ")");
-        if (dev.action != ref.action || dev.trapped != ref.trapped ||
-            dev.redirectIfindex != ref.redirectIfindex ||
-            dev.bytes != ref.bytes)
-            return formatParts("replica ", replica, " diverges on packet ",
-                               dev.id);
+            return VmMismatch{0, "completion",
+                              formatParts("retirement order: packet ",
+                                          dev.id, " where ", ref.id,
+                                          " expected")};
+        if (dev.action != ref.action)
+            return VmMismatch{
+                ref.id, "action",
+                formatParts("vm=", static_cast<uint32_t>(ref.action),
+                            " device=", static_cast<uint32_t>(dev.action))};
+        if (dev.trapped != ref.trapped || dev.trapReason != ref.trapReason)
+            return VmMismatch{
+                ref.id, "trap",
+                formatParts("vm ", ref.trapped ? "trapped" : "clean", " '",
+                            ref.trapReason, "', device ",
+                            dev.trapped ? "trapped" : "clean", " '",
+                            dev.trapReason, "'")};
+        if (dev.redirectIfindex != ref.redirectIfindex)
+            return VmMismatch{ref.id, "redirect",
+                              formatParts("vm=", ref.redirectIfindex,
+                                          " device=", dev.redirectIfindex)};
+        if (dev.bytes != ref.bytes)
+            return VmMismatch{ref.id, "bytes",
+                              hexPreview(ref.bytes, dev.bytes)};
     }
     for (size_t t = 0; t < report.txns.size(); ++t) {
         const auto &dev_results = report.txns[t].results;
         if (replica < dev_results.size() &&
             dev_results[replica] != replay.txnResults[t])
-            return formatParts("replica ", replica,
-                               " host-op results differ on transaction ", t);
+            return VmMismatch{
+                0, "ctl-op",
+                formatParts("txn ", t, " (",
+                            ctlOpKindName(report.txns[t].txn.kind),
+                            ") device and VM host-op results differ")};
     }
-    if (!ebpf::MapSet::equal(devMaps, vmMaps))
-        return formatParts("replica ", replica, " final map state differs");
-    return "";
+    if (!ebpf::MapSet::equal(vmMaps, devMaps))
+        return VmMismatch{0, "maps",
+                          "final map state differs\nvm:\n" +
+                              vmMaps.dump().substr(0, 400) +
+                              "\ndevice:\n" + devMaps.dump().substr(0, 400)};
+    return std::nullopt;
 }
 
 Json

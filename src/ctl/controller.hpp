@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -205,6 +206,7 @@ struct CtlVmOutcome
     uint32_t redirectIfindex = 0;
     uint64_t insnsExecuted = 0;
     std::vector<uint8_t> bytes;
+    std::string trapReason;  ///< "" unless trapped
 };
 
 /** Result of replaying one replica's stream + schedule on the VM. */
@@ -230,20 +232,40 @@ CtlVmReplayResult replayScheduleOnVm(
     unsigned replica, ebpf::MapSet &maps);
 
 /**
- * Replay @p packets on the VM (replayScheduleOnVm into @p vmMaps, seeded
- * like the replica's maps were) and compare with what replica @p replica
- * did: retirement order, verdict, trap, redirect target and bytes of
- * every packet (@p outcomes), the host-op results of every transaction
- * and the final maps @p devMaps. Returns the first difference, or ""
- * when the replica matches its replay.
+ * The first way a simulator run differs from its VM replay. The field
+ * names what differed: "completion" (packet count or retire order),
+ * "action", "trap" (trapped flag or reason), "redirect", "bytes",
+ * "ctl-op" (a transaction's host-op results) or "maps" (final state).
  */
-std::string checkReplicaAgainstVm(
+struct VmMismatch
+{
+    /** Packet on which the difference surfaced (0 for whole-run fields). */
+    uint64_t packetId = 0;
+    std::string field;
+    std::string detail;
+
+    /** "field (packet N): detail". */
+    std::string describe() const;
+};
+
+/**
+ * The one check of a simulator run against the reference VM. Replays
+ * @p packets on the VM (replayScheduleOnVm into @p vmMaps, seeded like
+ * the replica's maps were; an empty @p report is the plain sequential
+ * run) and compares, in this order, with what replica @p replica did:
+ * the completion count and retire order of @p outcomes, then per packet
+ * its action, trap flag and reason, redirect target and bytes, then the
+ * host-op results of every transaction and the final maps @p devMaps.
+ * Adds the instructions the VM executed to @p vmInsns when given.
+ * Returns the first mismatch, or nothing when the replica matches.
+ */
+std::optional<VmMismatch> checkReplicaAgainstVm(
     const ebpf::Program &prog,
     const std::map<std::string, const ebpf::Program *> &programs,
     const std::vector<net::Packet> &packets, const CtlRunReport &report,
     unsigned replica, ebpf::MapSet &vmMaps,
     const std::vector<sim::PacketOutcome> &outcomes,
-    const ebpf::MapSet &devMaps);
+    const ebpf::MapSet &devMaps, uint64_t *vmInsns = nullptr);
 
 }  // namespace ehdl::ctl
 

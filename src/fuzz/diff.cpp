@@ -1,12 +1,8 @@
 #include "fuzz/diff.hpp"
 
-#include <map>
 #include <memory>
-#include <sstream>
 
 #include "common/logging.hpp"
-#include "ctl/controller.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "host/host_dma.hpp"
 #include "sim/multi_pipe_sim.hpp"
@@ -15,77 +11,10 @@ namespace ehdl::fuzz {
 
 namespace {
 
-/** Per-packet reference record from the golden VM. */
-struct RefOutcome
-{
-    ebpf::ExecResult result;
-    std::vector<uint8_t> bytes;
-};
-
-std::string
-hexPreview(const std::vector<uint8_t> &a, const std::vector<uint8_t> &b)
-{
-    std::ostringstream os;
-    size_t first = 0;
-    const size_t n = std::min(a.size(), b.size());
-    while (first < n && a[first] == b[first])
-        ++first;
-    os << "len " << a.size() << " vs " << b.size();
-    if (first < n) {
-        os << ", first differing byte at offset " << first << " (0x"
-           << std::hex << static_cast<int>(a[first]) << " vs 0x"
-           << static_cast<int>(b[first]) << std::dec << ")";
-    }
-    return os.str();
-}
-
-std::optional<Divergence>
-comparePacket(const std::string &backend, uint64_t id, const RefOutcome &ref,
-              ebpf::XdpAction action, bool trapped, uint32_t redirect,
-              const std::vector<uint8_t> &bytes)
-{
-    Divergence d;
-    d.backend = backend;
-    d.packetId = id;
-    if (static_cast<uint32_t>(ref.result.action) !=
-        static_cast<uint32_t>(action)) {
-        d.field = "action";
-        d.detail = "vm=" + std::to_string(
-                       static_cast<uint32_t>(ref.result.action)) +
-                   " " + backend + "=" +
-                   std::to_string(static_cast<uint32_t>(action));
-        return d;
-    }
-    if (ref.result.trapped != trapped) {
-        d.field = "trap";
-        d.detail = std::string("vm ") +
-                   (ref.result.trapped ? "trapped" : "clean") + ", " +
-                   backend + " " + (trapped ? "trapped" : "clean");
-        return d;
-    }
-    if (ref.result.redirectIfindex != redirect) {
-        d.field = "redirect";
-        d.detail = "vm=" + std::to_string(ref.result.redirectIfindex) + " " +
-                   backend + "=" + std::to_string(redirect);
-        return d;
-    }
-    if (ref.bytes != bytes) {
-        d.field = "bytes";
-        d.detail = hexPreview(ref.bytes, bytes);
-        return d;
-    }
-    return std::nullopt;
-}
-
 Divergence
-wholeRun(const std::string &backend, const std::string &field,
-         std::string detail)
+wholeRun(const std::string &backend, const char *field, std::string detail)
 {
-    Divergence d;
-    d.backend = backend;
-    d.field = field;
-    d.detail = std::move(detail);
-    return d;
+    return Divergence{backend, {0, field, std::move(detail)}};
 }
 
 /**
@@ -138,184 +67,67 @@ checkHostQueue(const std::string &backend, const host::HostQueue &q,
     return std::nullopt;
 }
 
-/** RefOutcome view of one VM-replay outcome (for comparePacket). */
-RefOutcome
-replayRef(const ctl::CtlVmOutcome &o)
-{
-    RefOutcome r;
-    r.result.action = o.action;
-    r.result.trapped = o.trapped;
-    r.result.redirectIfindex = o.redirectIfindex;
-    r.result.insnsExecuted = o.insnsExecuted;
-    r.bytes = o.bytes;
-    return r;
-}
-
 /**
- * Compare one replica's simulator outcomes and final maps against the VM
- * replay of the same packet stream + apply log. @p mine is the replica's
- * packet stream in offer order; returns the first divergence.
+ * Run @p pipe as a MultiPipeSim of @p replicas sharded replicas: offer
+ * the case's packets, execute its ctl schedule (empty for plain cases),
+ * drain, and check every replica against the VM replay of its own packet
+ * stream and apply log, then the host queues when attached. With
+ * @p record, the run's counters, engine and VM instruction count land
+ * there. Returns the first divergence.
  */
 std::optional<Divergence>
-compareCtlReplica(const std::string &backend, const FuzzCase &c,
-                  const std::vector<net::Packet> &mine,
-                  const ctl::CtlRunReport &report, unsigned replica,
-                  const std::vector<sim::PacketOutcome> &outcomes,
-                  const ebpf::MapSet &dev_maps, uint64_t *vm_insns)
+runBackend(const char *backend, unsigned replicas, const FuzzCase &c,
+           const RunOptions &opts, const hdl::Pipeline &pipe,
+           const std::vector<net::Packet> &packets, CaseResult *record)
 {
-    ebpf::MapSet vm_maps(c.prog.maps);
-    const ctl::CtlVmReplayResult replay = ctl::replayScheduleOnVm(
-        c.prog, {}, mine, report, replica, vm_maps);
-
-    if (outcomes.size() != mine.size())
-        return wholeRun(backend, "completion",
-                        std::to_string(outcomes.size()) + " of " +
-                            std::to_string(mine.size()) +
-                            " packets completed");
-    // The pipeline retires in offer order, so outcomes align with the
-    // replay positionally.
-    for (size_t i = 0; i < mine.size(); ++i) {
-        const ctl::CtlVmOutcome &ref = replay.outcomes[i];
-        const sim::PacketOutcome &out = outcomes[i];
-        if (vm_insns != nullptr)
-            *vm_insns += ref.insnsExecuted;
-        if (out.id != ref.id)
-            return wholeRun(backend, "completion",
-                            "retirement order: packet " +
-                                std::to_string(out.id) + " where " +
-                                std::to_string(ref.id) + " expected");
-        if (auto d = comparePacket(backend, ref.id, replayRef(ref),
-                                   out.action, out.trapped,
-                                   out.redirectIfindex, out.bytes))
-            return d;
-    }
-    for (size_t t = 0; t < report.txns.size(); ++t) {
-        if (report.txns[t].results[replica] != replay.txnResults[t]) {
-            Divergence d = wholeRun(
-                backend, "ctl-op",
-                "txn " + std::to_string(t) + " (" +
-                    ctl::ctlOpKindName(report.txns[t].txn.kind) +
-                    ") device and VM host-op results differ");
-            return d;
+    sim::MultiPipeSimConfig mc;
+    mc.numReplicas = replicas;
+    mc.pipe.inputQueueCapacity = opts.inputQueueCapacity;
+    mc.pipe.engine = opts.engine;
+    mc.pipe.aotBackend = opts.aotBackend;
+    mc.pipe.schedMode = opts.schedMode;
+    mc.pipe.paranoidChecks = opts.paranoidChecks;
+    try {
+        ebpf::MapSet seed_maps(c.prog.maps);
+        sim::MultiPipeSim multi(pipe, seed_maps, mc);
+        std::unique_ptr<host::HostDatapath> host;
+        if (opts.hostModel) {
+            host = std::make_unique<host::HostDatapath>(
+                fuzzHostConfig(opts, replicas));
+            host->attach(multi);
         }
-    }
-    if (!ebpf::MapSet::equal(vm_maps, dev_maps)) {
-        return wholeRun(backend, "maps",
-                        "final map state differs\nvm:\n" +
-                            vm_maps.dump().substr(0, 400) + "\ndevice:\n" +
-                            dev_maps.dump().substr(0, 400));
+        std::vector<std::vector<net::Packet>> streams(replicas);
+        for (const net::Packet &pkt : packets) {
+            streams[multi.dispatch(pkt)].push_back(pkt);
+            multi.offer(pkt);
+        }
+        ctl::CtlController ctrl(multi, opts.ctlChannel);
+        const ctl::CtlRunReport report = ctrl.run(c.ctl);
+        multi.drain();
+        if (record != nullptr) {
+            record->pipeStats = multi.stats();
+            record->engineInfo = multi.engineInfo();
+        }
+        for (unsigned r = 0; r < replicas; ++r) {
+            ebpf::MapSet vm_maps(c.prog.maps);
+            if (auto m = ctl::checkReplicaAgainstVm(
+                    c.prog, {}, streams[r], report, r, vm_maps,
+                    multi.replica(r).outcomes(), multi.replicaMaps(r),
+                    record != nullptr ? &record->vmInsns : nullptr))
+                return Divergence{backend, std::move(*m)};
+        }
+        if (host) {
+            host->finishAll();
+            for (unsigned r = 0; r < replicas; ++r)
+                if (auto d = checkHostQueue(
+                        backend, host->queue(r),
+                        multi.replica(r).stats().passPackets))
+                    return d;
+        }
+    } catch (const PanicError &e) {
+        return wholeRun(backend, "panic", e.what());
     }
     return std::nullopt;
-}
-
-/**
- * The control-plane variant of the executor: the compiled pipeline runs
- * under PipeSim and a sharded MultiPipeSim with the case's ctl schedule
- * interleaved, each differentially checked against the VM replay of its
- * recorded apply log.
- */
-void
-runCtlBackends(const FuzzCase &c, const RunOptions &opts,
-               const hdl::Pipeline &pipe,
-               const std::vector<net::Packet> &packets, CaseResult &result)
-{
-    // Backend: single pipeline.
-    {
-        ebpf::MapSet pipe_maps(c.prog.maps);
-        sim::PipeSimConfig sim_config;
-        sim_config.inputQueueCapacity = opts.inputQueueCapacity;
-        sim_config.engine = opts.engine;
-        sim_config.aotBackend = opts.aotBackend;
-        sim_config.schedMode = opts.schedMode;
-        sim_config.paranoidChecks = opts.paranoidChecks;
-        try {
-            sim::PipeSim sim(pipe, pipe_maps, sim_config);
-            std::unique_ptr<host::HostDatapath> host;
-            if (opts.hostModel) {
-                host = std::make_unique<host::HostDatapath>(
-                    fuzzHostConfig(opts, 1));
-                host->attach(sim);
-            }
-            for (const net::Packet &pkt : packets)
-                sim.offer(pkt);
-            ctl::CtlController ctrl(sim, pipe_maps, opts.ctlChannel);
-            const ctl::CtlRunReport report = ctrl.run(c.ctl);
-            sim.drain();
-            result.pipeStats = sim.stats();
-            result.engineInfo = sim.engineInfo();
-            if (auto d = compareCtlReplica("pipeline", c, packets, report,
-                                           0, sim.outcomes(), pipe_maps,
-                                           &result.vmInsns)) {
-                result.divergence = std::move(d);
-                return;
-            }
-            if (host) {
-                host->finishAll();
-                if (auto d = checkHostQueue("pipeline", host->queue(0),
-                                            sim.stats().passPackets)) {
-                    result.divergence = std::move(d);
-                    return;
-                }
-            }
-        } catch (const PanicError &e) {
-            result.divergence = wholeRun("pipeline", "panic", e.what());
-            return;
-        }
-    }
-
-    // Backend: multi-queue replication, sharded maps, mutations fanned
-    // out to every replica at its own quiescence boundary.
-    if (opts.ctlReplicas >= 2) {
-        ebpf::MapSet seed_maps(c.prog.maps);
-        sim::MultiPipeSimConfig mc;
-        mc.numReplicas = opts.ctlReplicas;
-        mc.mapMode = sim::MapMode::Sharded;
-        mc.pipe.inputQueueCapacity = opts.inputQueueCapacity;
-        mc.pipe.engine = opts.engine;
-        mc.pipe.aotBackend = opts.aotBackend;
-        mc.pipe.schedMode = opts.schedMode;
-        mc.pipe.paranoidChecks = opts.paranoidChecks;
-        try {
-            sim::MultiPipeSim multi(pipe, seed_maps, mc);
-            std::unique_ptr<host::HostDatapath> host;
-            if (opts.hostModel) {
-                host = std::make_unique<host::HostDatapath>(
-                    fuzzHostConfig(opts, mc.numReplicas));
-                host->attach(multi);
-            }
-            std::vector<std::vector<net::Packet>> streams(mc.numReplicas);
-            for (const net::Packet &pkt : packets)
-                streams[multi.dispatch(pkt)].push_back(pkt);
-            for (const net::Packet &pkt : packets)
-                multi.offer(pkt);
-            ctl::CtlController ctrl(multi, opts.ctlChannel);
-            const ctl::CtlRunReport report = ctrl.run(c.ctl);
-            multi.drain();
-            for (unsigned r = 0; r < mc.numReplicas; ++r) {
-                if (auto d = compareCtlReplica(
-                        "multi", c, streams[r], report, r,
-                        multi.replica(r).outcomes(), multi.replicaMaps(r),
-                        nullptr)) {
-                    result.divergence = std::move(d);
-                    return;
-                }
-            }
-            if (host) {
-                host->finishAll();
-                for (unsigned r = 0; r < mc.numReplicas; ++r) {
-                    if (auto d = checkHostQueue(
-                            "multi", host->queue(r),
-                            multi.replica(r).stats().passPackets)) {
-                        result.divergence = std::move(d);
-                        return;
-                    }
-                }
-            }
-        } catch (const PanicError &e) {
-            result.divergence = wholeRun("multi", "panic", e.what());
-            return;
-        }
-    }
 }
 
 }  // namespace
@@ -323,135 +135,33 @@ runCtlBackends(const FuzzCase &c, const RunOptions &opts,
 std::string
 Divergence::describe() const
 {
-    std::ostringstream os;
-    os << backend << " diverges on " << field;
-    if (packetId != 0)
-        os << " (packet " << packetId << ")";
-    if (!detail.empty())
-        os << ": " << detail;
-    return os.str();
+    return backend + " diverges on " + what.describe();
 }
 
 CaseResult
 runCase(const FuzzCase &c, const RunOptions &opts)
 {
+    // Compile first: the pass that raised the first error classifies a
+    // fail-closed rejection, which is not a divergence and costs no run.
     CaseResult result;
-    const std::vector<net::Packet> packets = c.materializePackets();
-
-    // Cases with an interleaved control-plane schedule take the ctl
-    // executor: the VM reference is the replay of the recorded apply log,
-    // so the plain run-everything-first golden pass does not apply.
-    if (!c.ctl.txns.empty()) {
-        hdl::CompileResult compiled =
-            hdl::compileWithReport(c.prog, c.options);
-        if (!compiled.pipeline) {
-            result.rejectReason = compiled.report.diags.render();
-            const Diagnostic *first = compiled.report.diags.firstError();
-            result.rejectPass = first != nullptr ? first->pass : "unknown";
-            return result;
-        }
-        result.compiled = true;
-        result.numStages = compiled.pipeline->numStages();
-        runCtlBackends(c, opts, *compiled.pipeline, packets, result);
-        return result;
-    }
-
-    // Golden model: the sequential VM, packets in arrival order.
-    ebpf::MapSet vm_maps(c.prog.maps);
-    std::map<uint64_t, RefOutcome> ref;
-    {
-        ebpf::Vm vm(c.prog, vm_maps);
-        for (const net::Packet &pkt : packets) {
-            net::Packet copy = pkt;
-            RefOutcome r;
-            r.result = vm.run(copy);
-            r.bytes = copy.bytes();
-            result.vmInsns += r.result.insnsExecuted;
-            ref.emplace(pkt.id, std::move(r));
-        }
-    }
-
-    // The compiled pipeline under cycle-level simulation.
-    // Rejections come back as structured diagnostics (never process
-    // death): the pass that raised the first error classifies the case.
     hdl::CompileResult compiled = hdl::compileWithReport(c.prog, c.options);
     if (!compiled.pipeline) {
         result.rejectReason = compiled.report.diags.render();
         const Diagnostic *first = compiled.report.diags.firstError();
         result.rejectPass = first != nullptr ? first->pass : "unknown";
-        return result;  // fail-closed rejection, not a divergence
-    }
-    const hdl::Pipeline &pipe = *compiled.pipeline;
-    result.compiled = true;
-    result.numStages = pipe.numStages();
-
-    ebpf::MapSet pipe_maps(c.prog.maps);
-    sim::PipeSimConfig sim_config;
-    sim_config.inputQueueCapacity = opts.inputQueueCapacity;
-    sim_config.engine = opts.engine;
-    sim_config.aotBackend = opts.aotBackend;
-    sim_config.schedMode = opts.schedMode;
-    sim_config.paranoidChecks = opts.paranoidChecks;
-    try {
-        sim::PipeSim sim(pipe, pipe_maps, sim_config);
-        std::unique_ptr<host::HostDatapath> host;
-        if (opts.hostModel) {
-            host = std::make_unique<host::HostDatapath>(
-                fuzzHostConfig(opts, 1));
-            host->attach(sim);
-        }
-        for (const net::Packet &pkt : packets)
-            sim.offer(pkt);
-        sim.drain();
-        if (host) {
-            host->finishAll();
-            if (auto d = checkHostQueue("pipeline", host->queue(0),
-                                        sim.stats().passPackets)) {
-                result.divergence = std::move(d);
-                return result;
-            }
-        }
-        result.pipeStats = sim.stats();
-        result.engineInfo = sim.engineInfo();
-
-        if (sim.outcomes().size() != packets.size()) {
-            result.divergence = wholeRun(
-                "pipeline", "completion",
-                std::to_string(sim.outcomes().size()) + " of " +
-                    std::to_string(packets.size()) + " packets completed");
-            return result;
-        }
-        std::map<uint64_t, const sim::PacketOutcome *> by_id;
-        for (const sim::PacketOutcome &out : sim.outcomes())
-            by_id[out.id] = &out;
-        for (const net::Packet &pkt : packets) {
-            const auto it = by_id.find(pkt.id);
-            if (it == by_id.end()) {
-                result.divergence = wholeRun(
-                    "pipeline", "completion",
-                    "packet " + std::to_string(pkt.id) + " never exited");
-                return result;
-            }
-            const sim::PacketOutcome &out = *it->second;
-            if (auto d = comparePacket("pipeline", pkt.id, ref.at(pkt.id),
-                                       out.action, out.trapped,
-                                       out.redirectIfindex, out.bytes)) {
-                result.divergence = std::move(d);
-                return result;
-            }
-        }
-        if (!ebpf::MapSet::equal(vm_maps, pipe_maps)) {
-            result.divergence = wholeRun(
-                "pipeline", "maps",
-                "final map state differs\nvm:\n" +
-                    vm_maps.dump().substr(0, 400) + "\npipeline:\n" +
-                    pipe_maps.dump().substr(0, 400));
-            return result;
-        }
-    } catch (const PanicError &e) {
-        result.divergence = wholeRun("pipeline", "panic", e.what());
         return result;
     }
+    result.compiled = true;
+    result.numStages = compiled.pipeline->numStages();
+
+    const std::vector<net::Packet> packets = c.materializePackets();
+    result.divergence = runBackend("pipeline", 1, c, opts,
+                                   *compiled.pipeline, packets, &result);
+    // Sharded replicas apply every host write at their own quiescence
+    // boundary; cases with a schedule check that fan-out too.
+    if (!result.diverged() && !c.ctl.txns.empty() && opts.ctlReplicas >= 2)
+        result.divergence = runBackend("multi", opts.ctlReplicas, c, opts,
+                                       *compiled.pipeline, packets, nullptr);
     return result;
 }
 

@@ -1,22 +1,24 @@
 /**
  * @file
- * The differential executor: runs one FuzzCase through the sequential
- * reference VM (the golden model) and the compiled pipeline in
- * sim::PipeSim, and reports the first observable divergence in per-packet
- * XDP verdicts, rewritten packet bytes, redirect targets, or final map
- * state.
+ * The differential executor: compiles one FuzzCase, runs the compiled
+ * pipeline in the cycle-level simulator and reports the first observable
+ * divergence from the sequential reference VM (the golden model).
  *
  * The pipeline claim under test is the paper's section 4.1 equivalence:
  * whatever hdl::compile accepts must be observationally equal to the VM.
- * Compiler rejections (fail-closed unsupported patterns) are reported as
- * non-divergent "rejected" results so the fuzzer can count and skip them.
+ * The case is compiled first; a compiler rejection (a fail-closed
+ * unsupported pattern) is reported as a non-divergent "rejected" result
+ * so the fuzzer can count and skip it, and costs no simulation.
  *
- * Cases carrying a host control-plane schedule (FuzzCase::ctl) exercise the
- * src/ctl subsystem instead of the plain drain: the schedule runs against
- * PipeSim and a sharded MultiPipeSim through CtlController, and the VM
- * reference comes from replaying the recorded apply log at the same packet
- * boundaries (ctl::replayScheduleOnVm) — verdicts, rewritten bytes, host
- * op results and final map state must all agree.
+ * An accepted case runs through one backend function over a
+ * sim::MultiPipeSim: one replica (backend "pipeline"), plus, for cases
+ * carrying a host control-plane schedule (FuzzCase::ctl),
+ * RunOptions::ctlReplicas sharded replicas (backend "multi"). Each run
+ * offers the packets, executes the schedule through ctl::CtlController
+ * (a no-op for plain cases), drains, and checks every replica with
+ * ctl::checkReplicaAgainstVm against the VM replay of its own packet
+ * stream and apply log: retire order, verdicts, traps, redirect targets,
+ * rewritten bytes, host-op results and final map state must all agree.
  */
 
 #ifndef EHDL_FUZZ_DIFF_HPP_
@@ -27,6 +29,7 @@
 #include <string>
 
 #include "ctl/channel.hpp"
+#include "ctl/controller.hpp"
 #include "fuzz/case.hpp"
 #include "sim/pipe_sim.hpp"
 
@@ -36,15 +39,13 @@ namespace ehdl::fuzz {
 struct Divergence
 {
     std::string backend;  ///< "pipeline" or "multi"
-    /** Packet on which the disagreement surfaced (0 for whole-run fields). */
-    uint64_t packetId = 0;
     /**
-     * "action", "bytes", "redirect", "trap", "maps", "completion",
-     * "ctl-op", "host", "panic"
+     * What differed: the checker's ctl::VmMismatch, or field "host"
+     * (descriptor conservation) or "panic" (the backend panicked).
      */
-    std::string field;
-    std::string detail;
+    ctl::VmMismatch what;
 
+    /** "<backend> diverges on <what>". */
     std::string describe() const;
 };
 
@@ -66,7 +67,10 @@ struct CaseResult
 
     /** Pipeline depth (when compiled). */
     size_t numStages = 0;
-    /** Total instructions the reference VM executed over the workload. */
+    /**
+     * Instructions the reference VM executed checking the pipeline
+     * backend (0 when the compiler rejected the case).
+     */
     uint64_t vmInsns = 0;
     /** Full counters of the single-pipeline backend run (when compiled). */
     sim::PipeSimStats pipeStats;

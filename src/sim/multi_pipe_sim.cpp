@@ -1,6 +1,7 @@
 #include "sim/multi_pipe_sim.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 
 #include "common/logging.hpp"
@@ -93,8 +94,7 @@ MultiPipeSim::drainLockstep()
     uint64_t accepted = 0;
     for (const auto &r : replicas_)
         accepted += r->stats().accepted;
-    const uint64_t budget =
-        1000000ULL + 2000ULL * (accepted + pipe_.numStages());
+    const uint64_t budget = drainStepBudget(accepted, pipe_.numStages());
     uint64_t steps = 0;
     for (;;) {
         bool busy = false;
@@ -114,13 +114,25 @@ void
 MultiPipeSim::drainThreaded()
 {
     // Replicas share nothing in sharded mode, so each worker produces
-    // the same outcome stream as a sequential drain of its replica.
+    // the same outcome stream as a sequential drain of its replica. A
+    // worker's panic is rethrown here, on the caller's thread, once
+    // every worker has stopped.
+    std::vector<std::exception_ptr> errors(replicas_.size());
     std::vector<std::thread> workers;
     workers.reserve(replicas_.size());
-    for (const auto &r : replicas_)
-        workers.emplace_back([&sim = *r] { sim.drain(); });
+    for (size_t i = 0; i < replicas_.size(); ++i)
+        workers.emplace_back([&sim = *replicas_[i], &error = errors[i]] {
+            try {
+                sim.drain();
+            } catch (...) {
+                error = std::current_exception();
+            }
+        });
     for (std::thread &w : workers)
         w.join();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 ebpf::MapSet &

@@ -1557,12 +1557,11 @@ void
 PipeSim::drain()
 {
     const uint64_t budget =
-        stats_.cycles + 1000000ULL +
-        2000ULL * (stats_.accepted + impl_->pipe.numStages());
+        drainStepBudget(stats_.accepted, impl_->pipe.numStages());
     outcomes_.reserve(stats_.accepted);
-    while (!impl_->idle()) {
+    for (uint64_t steps = 0; !impl_->idle();) {
         impl_->stepOnce();
-        if (stats_.cycles > budget)
+        if (++steps > budget)
             panic("pipeline simulation did not drain (livelock?)");
     }
 }

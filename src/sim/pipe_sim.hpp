@@ -280,6 +280,18 @@ counterFields(counters::Of<PipeSimStats>)
 }
 
 /**
+ * How many step() calls a drain of @p accepted packets through @p stages
+ * stages may take before it is declared a livelock. Steps, not cycles:
+ * an idle gap between arrivals is crossed in one step however long it
+ * is, so only work counts against the budget.
+ */
+inline uint64_t
+drainStepBudget(uint64_t accepted, size_t stages)
+{
+    return 1000000ULL + 2000ULL * (accepted + stages);
+}
+
+/**
  * The simulator. Offer packets (in arrival order), then drain().
  */
 class PipeSim

@@ -29,12 +29,12 @@
 #include "ebpf/builder.hpp"
 #include "ebpf/helpers.hpp"
 #include "ebpf/maps.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "sim/aot/native.hpp"
 #include "sim/aot/specialize.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/traffic.hpp"
+#include "vm_agreement.hpp"
 
 #ifndef EHDL_GOLDEN_DIR
 #error "EHDL_GOLDEN_DIR must point at tests/golden"
@@ -130,29 +130,9 @@ expectVmAgreement(const AppSpec &spec,
                   const std::vector<net::Packet> &packets,
                   const EngineRun &run)
 {
-    MapSet vm_maps(spec.prog.maps);
-    spec.seedMaps(vm_maps);
-    ebpf::Vm vm(spec.prog, vm_maps);
-    std::map<uint64_t, const PacketOutcome *> by_id;
-    for (const PacketOutcome &out : run.outcomes)
-        by_id[out.id] = &out;
-    ASSERT_EQ(by_id.size(), packets.size());
-    for (const net::Packet &pkt : packets) {
-        SCOPED_TRACE("packet " + std::to_string(pkt.id));
-        net::Packet copy = pkt;
-        const ebpf::ExecResult ref = vm.run(copy);
-        const PacketOutcome &out = *by_id.at(pkt.id);
-        EXPECT_EQ(static_cast<uint32_t>(ref.action),
-                  static_cast<uint32_t>(out.action));
-        EXPECT_EQ(ref.trapped, out.trapped);
-        EXPECT_EQ(ref.trapReason, out.trapReason);
-        EXPECT_EQ(ref.redirectIfindex, out.redirectIfindex);
-        EXPECT_EQ(copy.bytes(), out.bytes);
-    }
-    EXPECT_TRUE(MapSet::equal(vm_maps, run.maps))
-        << "vm:\n"
-        << vm_maps.dump().substr(0, 600) << "\nsim:\n"
-        << run.maps.dump().substr(0, 600);
+    EXPECT_EQ(test::vmMismatch(spec.prog, spec.seedMaps, packets,
+                               run.outcomes, run.maps),
+              "");
 }
 
 // --- three-way conformance, single queue ------------------------------

@@ -315,12 +315,9 @@ TEST(CtlController, UpdateAppliesAtPacketBoundary)
 
     // And the VM replay agrees packet by packet.
     MapSet vm_maps(prog.maps);
-    const CtlVmReplayResult replay = replayScheduleOnVm(
-        prog, {}, packets, report, 0, vm_maps);
-    ASSERT_EQ(replay.outcomes.size(), outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i)
-        EXPECT_EQ(replay.outcomes[i].action, outcomes[i].action);
-    EXPECT_TRUE(MapSet::equal(maps, vm_maps));
+    const auto m = checkReplicaAgainstVm(prog, {}, packets, report, 0,
+                                         vm_maps, outcomes, maps);
+    EXPECT_FALSE(m.has_value()) << m->describe();
 }
 
 TEST(CtlController, StatsReadIsSideband)
@@ -478,11 +475,9 @@ TEST(CtlController, SwapUnderLoadLosesNoPackets)
     MapSet vm_maps(prog_a.maps);
     std::map<std::string, const ebpf::Program *> programs;
     programs["b"] = &prog_b;
-    const CtlVmReplayResult replay = replayScheduleOnVm(
-        prog_a, programs, packets, report, 0, vm_maps);
-    ASSERT_EQ(replay.outcomes.size(), n);
-    for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(replay.outcomes[i].action, outcomes[i].action);
+    const auto m = checkReplicaAgainstVm(prog_a, programs, packets, report,
+                                         0, vm_maps, outcomes, maps);
+    EXPECT_FALSE(m.has_value()) << m->describe();
 }
 
 TEST(CtlController, SwapCarriesMapContentsOver)
@@ -790,10 +785,11 @@ TEST(CtlDifferential, EveryAppAgreesWithVmReplayUnderSchedule)
 
         MapSet vm_maps(spec.prog.maps);
         spec.seedMaps(vm_maps);
-        EXPECT_EQ(checkReplicaAgainstVm(spec.prog, {}, packets, report, 0,
-                                        vm_maps, sim.outcomes(), maps),
-                  "")
-            << spec.prog.name;
+        const auto m = checkReplicaAgainstVm(spec.prog, {}, packets, report,
+                                             0, vm_maps, sim.outcomes(),
+                                             maps);
+        EXPECT_FALSE(m.has_value()) << spec.prog.name << ": "
+                                    << m->describe();
     }
 }
 

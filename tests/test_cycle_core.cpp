@@ -22,11 +22,11 @@
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/pipe_sim.hpp"
 #include "sim/traffic.hpp"
+#include "vm_agreement.hpp"
 
 namespace ehdl::sim {
 namespace {
@@ -210,18 +210,10 @@ TEST(CycleCore, CowCheckpointsMaterializeOnFlushReplay)
     EXPECT_GT(r.stats.checkpointsMaterialized, 0u);
 
     // VM parity: the same packet sequence through the reference VM must
-    // agree on every action and on final map contents.
-    MapSet vm_maps(spec.prog.maps);
-    spec.seedMaps(vm_maps);
-    ebpf::Vm vm(spec.prog, vm_maps);
-    ASSERT_EQ(r.outcomes.size(), packets.size());
-    for (size_t i = 0; i < packets.size(); ++i) {
-        net::Packet copy = packets[i];
-        const ebpf::ExecResult res = vm.run(copy);
-        EXPECT_EQ(r.outcomes[i].action, res.action) << "packet " << i;
-        EXPECT_EQ(r.outcomes[i].bytes, copy.bytes()) << "packet " << i;
-    }
-    EXPECT_TRUE(MapSet::equal(r.maps, vm_maps));
+    // agree on every outcome and on final map contents.
+    EXPECT_EQ(test::vmMismatch(spec.prog, spec.seedMaps, packets, r.outcomes,
+                               r.maps),
+              "");
 }
 
 TEST(CycleCore, MultiPipeSimAggregatesEventCounters)

@@ -13,16 +13,16 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "ebpf/builder.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "sim/pipe_sim.hpp"
 #include "sim/traffic.hpp"
+#include "vm_agreement.hpp"
 
 namespace ehdl {
 namespace {
@@ -30,12 +30,11 @@ namespace {
 using apps::AppSpec;
 using ebpf::MapSet;
 using ebpf::Program;
-using ebpf::Vm;
 
 struct DiffResult
 {
-    int mismatches = 0;
-    bool mapsEqual = false;
+    /** The first way the pipeline differs from the VM ("" when none). */
+    std::string mismatch;
     uint64_t flushes = 0;
 };
 
@@ -45,8 +44,7 @@ runDifferential(const AppSpec &spec, uint64_t num_flows, int num_packets,
 {
     const hdl::Pipeline pipe = hdl::compile(spec.prog);
 
-    MapSet vm_maps(spec.prog.maps), pipe_maps(spec.prog.maps);
-    spec.seedMaps(vm_maps);
+    MapSet pipe_maps(spec.prog.maps);
     spec.seedMaps(pipe_maps);
 
     sim::TrafficConfig config;
@@ -68,25 +66,9 @@ runDifferential(const AppSpec &spec, uint64_t num_flows, int num_packets,
     sim.drain();
     EXPECT_EQ(sim.stats().completed, static_cast<uint64_t>(num_packets));
 
-    std::map<uint64_t, const sim::PacketOutcome *> by_id;
-    for (const sim::PacketOutcome &out : sim.outcomes())
-        by_id[out.id] = &out;
-
-    Vm vm(spec.prog, vm_maps);
     DiffResult result;
-    for (const net::Packet &pkt : packets) {
-        net::Packet copy = pkt;
-        const ebpf::ExecResult ref = vm.run(copy);
-        const sim::PacketOutcome *out = by_id.at(pkt.id);
-        const bool same =
-            static_cast<uint32_t>(ref.action) ==
-                static_cast<uint32_t>(out->action) &&
-            copy.bytes() == out->bytes &&
-            ref.redirectIfindex == out->redirectIfindex;
-        if (!same)
-            ++result.mismatches;
-    }
-    result.mapsEqual = MapSet::equal(vm_maps, pipe_maps);
+    result.mismatch = test::vmMismatch(spec.prog, spec.seedMaps, packets,
+                                       sim.outcomes(), pipe_maps);
     result.flushes = sim.stats().flushEvents;
     return result;
 }
@@ -108,8 +90,7 @@ TEST_P(AppDifferentialTest, PipelineMatchesVm)
     const DiffCase &c = GetParam();
     const DiffResult result =
         runDifferential(c.make(), c.flows, 2500, 17, c.reverse);
-    EXPECT_EQ(result.mismatches, 0);
-    EXPECT_TRUE(result.mapsEqual);
+    EXPECT_EQ(result.mismatch, "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,8 +122,7 @@ TEST(Differential, AdversarialSingleFlowStillCorrect)
     // The section 5.3 stress case: every packet hits the same map entry.
     const DiffResult result =
         runDifferential(apps::makeLeakyBucket(), 1, 3000, 7, 0.0);
-    EXPECT_EQ(result.mismatches, 0);
-    EXPECT_TRUE(result.mapsEqual);
+    EXPECT_EQ(result.mismatch, "");
     EXPECT_GT(result.flushes, 2000u);  // nearly every packet flushes
 }
 
@@ -155,9 +135,7 @@ TEST(Differential, SeedSweepOnHazardHeavyApps)
             const DiffResult result =
                 runDifferential(spec, 5 + seed * 3, 800, seed,
                                 spec.reverseFraction);
-            EXPECT_EQ(result.mismatches, 0)
-                << spec.prog.name << " seed " << seed;
-            EXPECT_TRUE(result.mapsEqual)
+            EXPECT_EQ(result.mismatch, "")
                 << spec.prog.name << " seed " << seed;
         }
     }
@@ -176,8 +154,7 @@ TEST(Differential, SuricataWithSeededBypass)
         apps::seedSuricataBypass(maps, bypassed);
     };
     const DiffResult result = runDifferential(spec, 50, 2000, 5, 0.0);
-    EXPECT_EQ(result.mismatches, 0);
-    EXPECT_TRUE(result.mapsEqual);
+    EXPECT_EQ(result.mismatch, "");
 }
 
 /**
@@ -246,29 +223,23 @@ TEST_P(RandomProgramTest, PipelineMatchesVm)
 {
     const Program prog = randomProgram(GetParam());
     const hdl::Pipeline pipe = hdl::compile(prog);
-    MapSet vm_maps(prog.maps), pipe_maps(prog.maps);
+    MapSet pipe_maps(prog.maps);
 
     sim::PipeSimConfig config;
     config.inputQueueCapacity = 4096;
     sim::PipeSim sim(pipe, pipe_maps, config);
-    Vm vm(prog, vm_maps);
 
     net::PacketSpec spec;
+    std::vector<net::Packet> packets;
     for (int i = 1; i <= 32; ++i) {
-        net::Packet pkt = net::PacketFactory::build(spec);
-        pkt.id = static_cast<uint64_t>(i);
-        sim.offer(pkt);
+        packets.push_back(net::PacketFactory::build(spec));
+        packets.back().id = static_cast<uint64_t>(i);
+        sim.offer(packets.back());
     }
     sim.drain();
-    ASSERT_EQ(sim.outcomes().size(), 32u);
-    net::Packet ref_pkt = net::PacketFactory::build(spec);
-    ref_pkt.id = 1;
-    const ebpf::ExecResult ref = vm.run(ref_pkt);
-    for (const sim::PacketOutcome &out : sim.outcomes()) {
-        EXPECT_EQ(static_cast<uint32_t>(out.action),
-                  static_cast<uint32_t>(ref.action))
-            << "seed " << GetParam();
-    }
+    EXPECT_EQ(test::vmMismatch(prog, {}, packets, sim.outcomes(), pipe_maps),
+              "")
+        << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest,
@@ -377,7 +348,7 @@ TEST_P(RandomMapProgramTest, HazardMachineryPreservesSequentialSemantics)
         GTEST_SKIP() << "pattern rejected: " << e.what();
     }
 
-    MapSet vm_maps(prog.maps), pipe_maps(prog.maps);
+    MapSet pipe_maps(prog.maps);
     sim::TrafficConfig config;
     config.numFlows = 2 + GetParam() % 5;  // collision-heavy
     config.seed = GetParam() * 31 + 7;
@@ -392,21 +363,9 @@ TEST_P(RandomMapProgramTest, HazardMachineryPreservesSequentialSemantics)
     for (const net::Packet &pkt : packets)
         sim.offer(pkt);
     sim.drain();
-
-    Vm vm(prog, vm_maps);
-    std::map<uint64_t, const sim::PacketOutcome *> by_id;
-    for (const sim::PacketOutcome &out : sim.outcomes())
-        by_id[out.id] = &out;
-    for (const net::Packet &pkt : packets) {
-        net::Packet copy = pkt;
-        const ebpf::ExecResult ref = vm.run(copy);
-        ASSERT_EQ(static_cast<uint32_t>(ref.action),
-                  static_cast<uint32_t>(by_id.at(pkt.id)->action));
-    }
-    EXPECT_TRUE(MapSet::equal(vm_maps, pipe_maps))
-        << "seed " << GetParam() << "\npipe:\n"
-        << pipe_maps.dump().substr(0, 600) << "\nvm:\n"
-        << vm_maps.dump().substr(0, 600);
+    EXPECT_EQ(test::vmMismatch(prog, {}, packets, sim.outcomes(), pipe_maps),
+              "")
+        << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMapProgramTest,

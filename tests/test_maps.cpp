@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
 #include "common/bitops.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -112,6 +115,77 @@ TEST(LruHashMap, EvictsLeastRecentlyUsed)
     EXPECT_EQ(map.lookup(key32(3).data()), -1);
     EXPECT_GE(map.lookup(key32(1).data()), 0);
     EXPECT_GE(map.lookup(key32(4).data()), 0);
+}
+
+/** A hash-backed map that exposes its probe-table occupancy. */
+template <class M>
+struct ProbedMap : M
+{
+    using M::M;
+    /** Live plus tombstone buckets. */
+    size_t occupied() const { return this->tableOccupied_; }
+    size_t buckets() const { return this->table_.size(); }
+};
+
+/**
+ * Insert/delete churn over many distinct keys, never filling the map (so
+ * LRU maps never evict), checked op by op against a std::map model.
+ * Deleted keys leave tombstones; occupancy must climb past the 3/4
+ * threshold and the rebuild must bring it back down, several times,
+ * without losing or resurrecting an entry.
+ */
+template <class M>
+void
+churnAgainstModel(MapKind kind)
+{
+    ProbedMap<M> map(MapDef{"h", kind, 4, 8, 64});
+    std::map<uint32_t, uint64_t> model;
+    Rng rng(11);
+    size_t rebuilds = 0;
+    for (uint64_t op = 0; op < 20000; ++op) {
+        const uint32_t key = static_cast<uint32_t>(rng.below(1u << 20));
+        const bool full = model.size() == 64;
+        if (!full && (model.empty() || rng.below(2) == 0)) {
+            const size_t before = map.occupied();
+            ASSERT_EQ(map.update(key32(key).data(), val64(op).data(),
+                                 kBpfAny),
+                      0);
+            model[key] = op;
+            // Only a rebuild lowers occupancy, and only past 3/4.
+            if (map.occupied() < before) {
+                EXPECT_GT((before + 1) * 4, map.buckets() * 3);
+                ++rebuilds;
+            }
+        } else {
+            auto victim = model.begin();
+            std::advance(victim, rng.below(model.size()));
+            ASSERT_EQ(map.erase(key32(victim->first).data()), 0);
+            model.erase(victim);
+        }
+        // A fresh key probes across every tombstone on its chain.
+        const bool present = model.count(key) != 0;
+        const int64_t e = map.lookup(key32(key).data());
+        ASSERT_EQ(e >= 0, present) << "op " << op << ", key " << key;
+        if (present) {
+            ASSERT_EQ(loadLe<uint64_t>(map.valueAt(e)), model[key]);
+        }
+    }
+    EXPECT_GT(rebuilds, 2u);
+    EXPECT_EQ(map.count(), model.size());
+    std::map<std::vector<uint8_t>, std::vector<uint8_t>> want;
+    for (const auto &[k, v] : model)
+        want.emplace(key32(k), val64(v));
+    EXPECT_EQ(map.snapshot(), want);
+}
+
+TEST(HashMap, TombstoneChurnRebuildsTable)
+{
+    churnAgainstModel<HashMap>(MapKind::Hash);
+}
+
+TEST(LruHashMap, TombstoneChurnRebuildsTable)
+{
+    churnAgainstModel<LruHashMap>(MapKind::LruHash);
 }
 
 std::vector<uint8_t>

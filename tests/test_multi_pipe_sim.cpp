@@ -13,11 +13,11 @@
 
 #include "apps/apps.hpp"
 #include "common/logging.hpp"
-#include "ebpf/vm.hpp"
 #include "hdl/compiler.hpp"
 #include "net/headers.hpp"
 #include "sim/multi_pipe_sim.hpp"
 #include "sim/traffic.hpp"
+#include "vm_agreement.hpp"
 
 namespace ehdl {
 namespace {
@@ -171,33 +171,14 @@ checkSharedEquivalence(const AppSpec &spec, uint64_t flows, int npkts,
         ASSERT_TRUE(single.offer(pkt));
     single.drain();
 
-    MapSet vm_maps(spec.prog.maps);
-    spec.seedMaps(vm_maps);
-    ebpf::Vm vm(spec.prog, vm_maps);
-
-    std::map<uint64_t, const PacketOutcome *> single_by_id;
-    for (const PacketOutcome &out : single.outcomes())
-        single_by_id[out.id] = &out;
-
-    const auto merged = multi.outcomes();
-    ASSERT_EQ(merged.size(), packets.size());
-    int mismatches = 0;
-    for (size_t i = 0; i < packets.size(); ++i) {
-        net::Packet copy = packets[i];
-        const ebpf::ExecResult ref = vm.run(copy);
-        const PacketOutcome &out = merged[i];
-        ASSERT_EQ(out.id, packets[i].id);
-        const PacketOutcome &sout = *single_by_id.at(out.id);
-        if (out.action != ref.action || out.bytes != copy.bytes() ||
-            out.redirectIfindex != ref.redirectIfindex)
-            ++mismatches;
-        if (out.action != sout.action || out.bytes != sout.bytes)
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0);
-    EXPECT_TRUE(MapSet::equal(multi_maps, vm_maps))
-        << "multi:\n" << multi_maps.dump() << "\nvm:\n" << vm_maps.dump();
-    EXPECT_TRUE(MapSet::equal(multi_maps, single_maps));
+    // Both runs agree with the VM, hence with each other. The merged
+    // outcomes are sorted by id, which is the offer order.
+    EXPECT_EQ(test::vmMismatch(spec.prog, spec.seedMaps, packets,
+                               multi.outcomes(), multi_maps),
+              "");
+    EXPECT_EQ(test::vmMismatch(spec.prog, spec.seedMaps, packets,
+                               single.outcomes(), single_maps),
+              "");
 }
 
 TEST(MultiPipeSimEquivalence, FirewallSharedMaps)
@@ -210,7 +191,10 @@ TEST(MultiPipeSimEquivalence, LeakyBucketSharedMaps)
     checkSharedEquivalence(apps::makeLeakyBucket(), 32, 1500, 0.0);
 }
 
-/** Per-packet outcomes in sharded mode also match the sequential VM. */
+/**
+ * Every sharded replica matches the sequential VM over the packets RSS
+ * dispatched to it, final maps included.
+ */
 TEST(MultiPipeSimEquivalence, FirewallShardedOutcomes)
 {
     const AppSpec spec = apps::makeSimpleFirewall();
@@ -224,21 +208,15 @@ TEST(MultiPipeSimEquivalence, FirewallShardedOutcomes)
         ASSERT_TRUE(multi.offer(pkt));
     multi.drain();
 
-    MapSet vm_maps(spec.prog.maps);
-    spec.seedMaps(vm_maps);
-    ebpf::Vm vm(spec.prog, vm_maps);
-
-    const auto merged = multi.outcomes();
-    ASSERT_EQ(merged.size(), packets.size());
-    int mismatches = 0;
-    for (size_t i = 0; i < packets.size(); ++i) {
-        net::Packet copy = packets[i];
-        const ebpf::ExecResult ref = vm.run(copy);
-        if (merged[i].action != ref.action ||
-            merged[i].bytes != copy.bytes())
-            ++mismatches;
-    }
-    EXPECT_EQ(mismatches, 0);
+    std::vector<std::vector<net::Packet>> streams(multi.numReplicas());
+    for (const net::Packet &pkt : packets)
+        streams[multi.dispatch(pkt)].push_back(pkt);
+    for (size_t r = 0; r < streams.size(); ++r)
+        EXPECT_EQ(test::vmMismatch(spec.prog, spec.seedMaps, streams[r],
+                                   multi.replica(r).outcomes(),
+                                   multi.replicaMaps(r)),
+                  "")
+            << "replica " << r;
     // Sharding must not have leaked state across replicas: the template
     // map set passed to the constructor stays untouched.
     MapSet pristine(spec.prog.maps);
@@ -273,6 +251,24 @@ TEST(MultiPipeSimDeterminism, ThreadedRunsAreIdentical)
 
     EXPECT_EQ(counters::firstContractedDiff(stats_a, stats_b), "");
     EXPECT_TRUE(out_a == out_b);
+}
+
+/** A threaded drain crosses a 1 s arrival gap on every replica. */
+TEST(MultiPipeSimDeterminism, ThreadedDrainCrossesSecondLongGap)
+{
+    const AppSpec spec = apps::makeToyCounter();
+    const hdl::Pipeline pipe = hdl::compile(spec.prog);
+    auto packets = makeTrace(spec, 8, 16, 0.0);
+    for (size_t i = 0; i < packets.size(); ++i)
+        packets[i].arrivalNs = i < packets.size() / 2 ? 0 : 1000000000ULL;
+
+    MapSet maps(spec.prog.maps);
+    MultiPipeSim multi(pipe, maps, bigQueues(2, MapMode::Sharded, true));
+    for (const net::Packet &pkt : packets)
+        ASSERT_TRUE(multi.offer(pkt));
+    multi.drain();
+    EXPECT_EQ(multi.stats().completed, packets.size());
+    EXPECT_GE(multi.stats().cycles, 250000000u);
 }
 
 /** Threaded and lockstep drains of sharded replicas agree exactly. */

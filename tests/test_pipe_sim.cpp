@@ -335,6 +335,20 @@ TEST(PipeSim, IdleGapsFastForwardWithExactCycleAccounting)
     EXPECT_EQ(sim.stats().completed, static_cast<uint64_t>(n));
 }
 
+TEST(PipeSim, DrainCrossesSecondLongArrivalGap)
+{
+    // The livelock guard counts steps, not cycles: the 250M idle cycles
+    // before the second arrival are skipped, not worked through.
+    const hdl::Pipeline pipe = hdl::compile(apps::makeToyCounter().prog);
+    MapSet maps(pipe.prog.maps);
+    PipeSim sim(pipe, maps, bigQueue());
+    ASSERT_TRUE(sim.offer(defaultPacket(1, 0)));
+    ASSERT_TRUE(sim.offer(defaultPacket(2, 1000000000ULL)));
+    sim.drain();
+    EXPECT_EQ(sim.stats().completed, 2u);
+    EXPECT_GE(sim.stats().cycles, 250000000u);
+}
+
 TEST(PipeSim, ReusedSimulatorMatchesFreshAcrossDrains)
 {
     // Offer/drain in bursts reuses pooled in-flight state; results must

@@ -9,9 +9,10 @@
  *   ehdl-ctl run SCHEDULE.ctl [options]    # flags: ehdl-ctl --help
  *
  * `--poll-stats N` adds a side-band stats_read every N cycles. `--verify`
- * replays the apply log on the reference VM (ctl::replayScheduleOnVm) and
- * cross-checks verdicts, host op results and final maps; shared-map mode
- * has no global packet order to replay, so it cannot be verified.
+ * checks every replica against the VM replay of its packets and apply log
+ * (ctl::checkReplicaAgainstVm) and exits 2 naming the first mismatch;
+ * shared-map mode has no global packet order to replay, so it cannot be
+ * verified.
  */
 
 #include <algorithm>
@@ -166,11 +167,10 @@ run(int argc, char **argv)
     for (unsigned r = 0; verify && r < replicas; ++r) {
         ebpf::MapSet vm_maps(spec.prog.maps);
         spec.seedMaps(vm_maps);
-        const std::string diff = ctl::checkReplicaAgainstVm(
-            spec.prog, vm_programs, streams[r], report, r, vm_maps,
-            multi.replica(r).outcomes(), multi.replicaMaps(r));
-        if (!diff.empty())
-            fatal("verify: ", diff);
+        if (const auto m = ctl::checkReplicaAgainstVm(
+                spec.prog, vm_programs, streams[r], report, r, vm_maps,
+                multi.replica(r).outcomes(), multi.replicaMaps(r)))
+            fatal("verify: replica ", r, " diverges on ", m->describe());
     }
     if (host)
         host->finishAll();

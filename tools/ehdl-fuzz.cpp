@@ -78,8 +78,8 @@ run(int argc, char **argv)
                 opts.injectFlushBug)
         .toggle("--ctl", "interleave random host control-plane schedules "
                 "(map updates/deletes/lookups at random cycles) and "
-                "cross-check VM vs PipeSim vs sharded MultiPipeSim final "
-                "map state", opts.ctl)
+                "check one pipeline and sharded MultiPipeSim replicas "
+                "against the VM replay", opts.ctl)
         .integer("--ctl-txns", "N", "max transactions per schedule",
                  opts.ctlMaxTxns, 1, 1u << 16)
         .integer("--ctl-replicas", "N", "MultiPipeSim replicas for --ctl "
