@@ -211,21 +211,21 @@ struct Insn
 };
 
 /** Build an opcode byte from class/op/src parts. */
-inline uint8_t
+constexpr uint8_t
 makeAluOpcode(InsnClass cls, AluOp op, SrcKind src)
 {
     return static_cast<uint8_t>(cls) | static_cast<uint8_t>(op) |
            static_cast<uint8_t>(src);
 }
 
-inline uint8_t
+constexpr uint8_t
 makeJmpOpcode(InsnClass cls, JmpOp op, SrcKind src)
 {
     return static_cast<uint8_t>(cls) | static_cast<uint8_t>(op) |
            static_cast<uint8_t>(src);
 }
 
-inline uint8_t
+constexpr uint8_t
 makeMemOpcode(InsnClass cls, MemMode mode, MemSize size)
 {
     return static_cast<uint8_t>(cls) | static_cast<uint8_t>(mode) |

@@ -96,11 +96,10 @@ struct RunOptions
     /**
      * Stage-execution engine for the pipeline backends (PipeSim and the
      * ctl MultiPipeSim cross-check). The differential contract is
-     * engine-independent, so fuzzing under SimEngine::Aot checks the
-     * specializer against the VM exactly like the interpreter is
-     * checked; divergences shrink the same way.
+     * engine-independent, so fuzzing under either engine checks it
+     * against the VM the same way; divergences shrink the same way.
      */
-    sim::SimEngine engine = sim::SimEngine::Interp;
+    sim::SimEngine engine = sim::SimEngine::Aot;
     /** Requested AOT backend when engine == SimEngine::Aot. */
     sim::AotBackend aotBackend = sim::AotBackend::DirectThreaded;
     /**

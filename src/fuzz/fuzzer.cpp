@@ -1,6 +1,7 @@
 #include "fuzz/fuzzer.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <ostream>
 
 #include "common/rng.hpp"
@@ -203,6 +204,9 @@ runFuzz(const FuzzOptions &opts, std::ostream *log)
         if (!opts.corpusDir.empty()) {
             rec.savedPath = opts.corpusDir + "/" + rec.shrunk.name +
                             ".ehdlcase";
+            // A directory that cannot be made is reported by saveCase.
+            std::error_code ec;
+            std::filesystem::create_directories(opts.corpusDir, ec);
             saveCase(rec.shrunk, rec.savedPath);
             if (log)
                 *log << "[fuzz] reproducer saved to " << rec.savedPath

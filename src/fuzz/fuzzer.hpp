@@ -51,7 +51,7 @@ struct FuzzOptions
     unsigned ctlMaxTxns = 8;
 
     bool shrink = true;
-    /** Directory for shrunk reproducers ("" = don't save). */
+    /** Directory for shrunk reproducers, made if missing ("" = don't save). */
     std::string corpusDir;
     bool stopAtFirstDivergence = true;
 

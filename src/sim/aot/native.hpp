@@ -6,9 +6,11 @@
  *
  * The generated source is deterministic — a pure function of the
  * specialized pipeline (no timestamps, paths or pointer values) — so
- * it is snapshot-tested under tests/golden/ and its FNV-1a hash keys
- * the on-disk cache: recompiling the same program hits
- * `<cache>/ehdl_aot_<hash>.so` without invoking the compiler again.
+ * it is snapshot-tested under tests/golden/. Its FNV-1a hash, mixed
+ * with a hash of the in-tree headers the module inlines (runtimeHash),
+ * keys the on-disk cache: recompiling the same program against the same
+ * runtime hits `<cache>/ehdl_aot_<key>.so` without invoking the
+ * compiler again, and editing any of those headers rebuilds it.
  *
  * Loading can fail for many environmental reasons (no compiler on
  * PATH, no dlopen, read-only filesystem, missing headers); every
@@ -41,8 +43,23 @@ namespace ehdl::sim::aot {
  */
 std::string generateNativeSource(const AotSpec &spec);
 
-/** FNV-1a hash of the generated source (cache key, embedded in it). */
+/** FNV-1a hash of the generated source. */
 uint64_t sourceHash(const std::string &source);
+
+/**
+ * Hash of every in-tree header that sim/aot/runtime.hpp includes,
+ * transitively: the code a module inlines besides its own source.
+ * Computed by CMake at configure time (EHDL_AOT_RUNTIME_HASH).
+ */
+uint64_t runtimeHash();
+
+/**
+ * Cache key of the module for @p source: its sourceHash mixed with
+ * @p runtime_hash. Names the cached `.so` and is embedded in the
+ * module, so a module built against other runtime headers never loads.
+ */
+uint64_t moduleKey(const std::string &source,
+                   uint64_t runtime_hash = runtimeHash());
 
 /** A loaded (and cached) native module. */
 class NativeModule

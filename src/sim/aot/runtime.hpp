@@ -9,8 +9,8 @@
  * `ebpf::ExecState` instruction semantics the interpreter uses:
  *
  *  - the direct-threaded backend builds, at load time, per-stage tables
- *    of `MicroOp` records whose handler pointers are selected per fused
- *    op shape (sim/aot/specialize.hpp);
+ *    of `MicroOp` records whose handler pointers are selected per
+ *    opcode (sim/aot/specialize.hpp, sim/aot/fold.cpp);
  *
  *  - the native backend generates C++ that unrolls those tables into
  *    straight-line per-stage functions with every block id and pc
@@ -82,13 +82,29 @@ struct AotCtx
 // --- Primitives -------------------------------------------------------------
 // Each returns true when the packet latches its exit (remaining ops in
 // the stage are dead, exactly like the interpreter's executeOp).
+//
+// Instructions arrive as Insn objects, not indices: generated modules
+// pass braced literals, the folded direct-threaded handlers pass a copy
+// whose opcode is a compile-time constant. ExecState::execute and
+// evalCond are header-inline (ebpf/exec_inline.hpp), so the host
+// compiler folds the class/op/width dispatch, the operand selects and
+// the memory-size switches down to straight-line code per instruction —
+// while still running the interpreter's exact bodies.
+
+/** Execute one non-control-flow instruction (ALU/load/store/call). */
+inline bool
+opExecInsn(AotCtx &c, const ebpf::Insn &insn)
+{
+    c.st->execute(insn);
+    return false;
+}
 
 /** Conditional branch: drive the taken or fallthrough enable signal. */
 inline bool
-opBranch(AotCtx &c, uint32_t pc, uint32_t taken_block, uint32_t fall_block)
+opBranchInsn(AotCtx &c, const ebpf::Insn &insn, uint32_t taken_block,
+             uint32_t fall_block)
 {
-    const bool taken = c.st->evalCond(c.insns[pc]);
-    (*c.enabled)[taken ? taken_block : fall_block] = true;
+    (*c.enabled)[c.st->evalCond(insn) ? taken_block : fall_block] = true;
     return false;
 }
 
@@ -111,102 +127,52 @@ opExit(AotCtx &c)
     return true;
 }
 
-/** Execute one non-control-flow instruction (ALU/load/store/call). */
-inline bool
-opExec(AotCtx &c, uint32_t pc)
-{
-    c.st->execute(c.insns[pc]);
-    return false;
-}
-
-// --- Literal-instruction primitives (native backend) ------------------------
-// Generated modules pass each instruction as a braced Insn literal instead
-// of an index into c.insns. ExecState::execute/evalCond are header-inline
-// (ebpf/exec_inline.hpp), so with every field a compile-time constant the
-// host compiler folds the class/op/width dispatch, the operand selects and
-// the memory-size switches down to straight-line code per instruction —
-// while still running the interpreter's exact bodies.
-
-/** Execute one instruction given as a literal. */
-inline bool
-opExecInsn(AotCtx &c, const ebpf::Insn &insn)
-{
-    c.st->execute(insn);
-    return false;
-}
-
-/** Conditional branch on a literal instruction. */
-inline bool
-opBranchInsn(AotCtx &c, const ebpf::Insn &insn, uint32_t taken_block,
-             uint32_t fall_block)
-{
-    (*c.enabled)[c.st->evalCond(insn) ? taken_block : fall_block] = true;
-    return false;
-}
-
 // --- Direct-threaded micro-ops ---------------------------------------------
 
 struct MicroOp;
 
-/** Fused stage-op handler: returns true when the packet exits. */
+/** Stage-op handler: returns true when the packet exits. */
 using UopFn = bool (*)(AotCtx &, const MicroOp &);
 
 /**
- * One pre-decoded stage operation. The handler pointer is chosen at
- * specialization time for the op's shape (single insn, fused pair,
- * branch, ...), so the per-cycle path is one predication test plus one
- * indirect call — no OpKind switch, no pcs vector walk.
+ * One pre-decoded stage operation. Every instruction gets its own
+ * micro-op, and its handler pointer is chosen at specialization time
+ * for the instruction's opcode (sim/aot/fold.cpp), so the per-cycle
+ * path is one predication test plus one indirect call into a body
+ * whose class/op/width dispatch is already folded away.
  */
 struct MicroOp
 {
     UopFn fn = nullptr;
     /** Basic block whose enable signal predicates the op. */
     uint32_t block = 0;
-    /** Branch/Jump: taken block. Exec: first pc. */
-    uint32_t a = 0;
+    /** Exec/Branch: the instruction's index in AotCtx::insns. */
+    uint32_t pc = 0;
+    /** Branch/Jump: taken block. */
+    uint32_t taken = 0;
     /** Branch: fallthrough block. */
-    uint32_t b = 0;
-    /** Exec runs: pointer into the spec's flattened pc pool. */
-    const uint32_t *pcs = nullptr;
-    uint32_t npcs = 0;
+    uint32_t fall = 0;
 };
 
-/** handler: single-instruction op (the common case). */
+/** handler: one instruction of any opcode (decodes at run time). */
 inline bool
-uopExec1(AotCtx &c, const MicroOp &op)
+uopExec(AotCtx &c, const MicroOp &op)
 {
-    return opExec(c, op.a);
+    return opExecInsn(c, c.insns[op.pc]);
 }
 
-/** handler: fused instruction pair sharing one stage (section 3.2). */
-inline bool
-uopExec2(AotCtx &c, const MicroOp &op)
-{
-    opExec(c, op.pcs[0]);
-    return opExec(c, op.pcs[1]);
-}
-
-/** handler: general instruction run. */
-inline bool
-uopExecN(AotCtx &c, const MicroOp &op)
-{
-    for (uint32_t i = 0; i < op.npcs; ++i)
-        c.st->execute(c.insns[op.pcs[i]]);
-    return false;
-}
-
-/** handler: conditional branch. */
+/** handler: conditional branch of any opcode. */
 inline bool
 uopBranch(AotCtx &c, const MicroOp &op)
 {
-    return opBranch(c, op.pcs[0], op.a, op.b);
+    return opBranchInsn(c, c.insns[op.pc], op.taken, op.fall);
 }
 
 /** handler: unconditional jump. */
 inline bool
 uopJump(AotCtx &c, const MicroOp &op)
 {
-    return opJump(c, op.a);
+    return opJump(c, op.taken);
 }
 
 /** handler: exit latch. */
@@ -243,9 +209,10 @@ using NativeStageFn = bool (*)(AotCtx &);
 
 /**
  * The table a generated module exports through its single extern "C"
- * entry point `ehdl_aot_module`. `sourceHash` is the FNV-1a hash of the
- * generated source, which keys the on-disk cache and ties a loaded
- * module to the exact pipeline it specializes.
+ * entry point `ehdl_aot_module`. `sourceHash` is the module's cache key
+ * (native.hpp, moduleKey: the generated source's hash mixed with the
+ * runtime headers' hash), which ties a loaded module to the exact
+ * pipeline it specializes and the runtime it was compiled against.
  */
 struct NativeModuleTable
 {

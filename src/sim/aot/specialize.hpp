@@ -7,10 +7,11 @@
  * Specialization happens once at load time and buys three things the
  * per-cycle interpreter pays for on every stage of every cycle:
  *
- *  1. **Pre-decoded micro-ops** — every `hdl::StageOp` is flattened
- *     into a `MicroOp` with a fused handler chosen for its shape, so
- *     stage execution is a tight table walk instead of an OpKind
- *     switch over vectors of instruction indices.
+ *  1. **Pre-decoded micro-ops** — every instruction of every
+ *     `hdl::StageOp` becomes one `MicroOp` whose handler is folded for
+ *     its opcode (execHandler / branchHandler), so stage execution is a
+ *     tight table walk with no OpKind switch and no class/op/width
+ *     decode.
  *
  *  2. **Run-ahead bursts** — stages that touch no map (`burstEnd`) are
  *     provably independent of pipeline timing: every one of their
@@ -44,9 +45,13 @@
  *     crossing; the AOT engine skips them. The interpreter keeps
  *     writing every checkpoint so it stays the unoptimized oracle.
  *
- * The interpreter remains the differential oracle: tests/test_aot.cpp
- * asserts bit-identical outcomes, statistics and map state across both
- * engines for every built-in app.
+ * The oracle is the sequential reference VM: every sim-vs-VM check
+ * (fuzzer, `ehdl-ctl --verify`, tests/vm_agreement.hpp) goes through
+ * ctl::checkReplicaAgainstVm. tests/test_aot.cpp additionally asserts
+ * bit-identical outcomes, contracted statistics and map state between
+ * the tables, the interpreter and the native backend for every
+ * built-in app, and that every folded handler equals the generic
+ * ExecState semantics it was folded from.
  */
 
 #ifndef EHDL_SIM_AOT_SPECIALIZE_HPP_
@@ -105,9 +110,6 @@ struct AotSpec
      * actually be consumed. Dead buffers are skipped by the engine.
      */
     std::vector<uint8_t> checkpointNeeded;
-    /** Backing store for MicroOp::pcs slices. */
-    std::vector<uint32_t> pcPool;
-
     /** Count of map-free stages covered by some burst (diagnostics). */
     uint32_t burstableStages = 0;
 };
@@ -117,6 +119,16 @@ struct AotSpec
  * @p pipe, which must outlive it.
  */
 AotSpec buildAotSpec(const hdl::Pipeline &pipe);
+
+/**
+ * Direct-threaded handler for a non-control-flow instruction with
+ * @p opcode: folded for that opcode when a verified program can use it
+ * (sim/aot/fold.cpp), the generic uopExec otherwise.
+ */
+UopFn execHandler(uint8_t opcode);
+
+/** Same for a conditional branch (generic: uopBranch). */
+UopFn branchHandler(uint8_t opcode);
 
 /** True when @p kind reads or writes map state. */
 bool opTouchesMap(hdl::OpKind kind);

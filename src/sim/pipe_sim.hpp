@@ -82,8 +82,11 @@ struct PipeSimConfig
     unsigned flushReloadCycles = 4;
     /** Input queue depth; arrivals beyond it are lost packets (table 2). */
     size_t inputQueueCapacity = 512;
-    /** Stage-execution engine. */
-    SimEngine engine = SimEngine::Interp;
+    /**
+     * Stage-execution engine: the direct-threaded tables by default;
+     * SimEngine::Interp stays selectable.
+     */
+    SimEngine engine = SimEngine::Aot;
     /** Requested AOT backend (engine == SimEngine::Aot only). */
     AotBackend aotBackend = AotBackend::DirectThreaded;
     /** Native-module cache dir ("" = $EHDL_AOT_CACHE, else aot-cache). */
@@ -139,7 +142,7 @@ counterFields(counters::Of<PipeSimPhaseProfile>)
 /** The engine actually running (tools report this in their stats). */
 struct EngineInfo
 {
-    SimEngine engine = SimEngine::Interp;
+    SimEngine engine = SimEngine::Aot;
     /** Active backend when engine == SimEngine::Aot. */
     AotBackend backend = AotBackend::DirectThreaded;
     /** A native module is loaded and executing stages. */

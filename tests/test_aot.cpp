@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -30,6 +32,7 @@
 #include "ebpf/helpers.hpp"
 #include "ebpf/maps.hpp"
 #include "hdl/compiler.hpp"
+#include "net/headers.hpp"
 #include "sim/aot/native.hpp"
 #include "sim/aot/specialize.hpp"
 #include "sim/multi_pipe_sim.hpp"
@@ -417,6 +420,246 @@ TEST(AotCodegen, GenerationIsDeterministic)
             aot::generateNativeSource(aot::buildAotSpec(pipe));
         EXPECT_EQ(first, second);
         EXPECT_EQ(aot::sourceHash(first), aot::sourceHash(second));
+    }
+}
+
+// --- native cache key -------------------------------------------------
+
+TEST(AotNative, CacheKeyCoversRuntimeHeaders)
+{
+    // The key (and the cached module's file name) covers the headers a
+    // module inlines, not only its generated source: editing one must
+    // rebuild every module.
+    const AppSpec spec = apps::makeSimpleFirewall();
+    const hdl::Pipeline pipe = hdl::compile(spec.prog);
+    const aot::AotSpec aspec = aot::buildAotSpec(pipe);
+    const std::string source = aot::generateNativeSource(aspec);
+    EXPECT_NE(aot::runtimeHash(), 0u);  // supplied by the build
+    EXPECT_EQ(aot::moduleKey(source, 1), aot::moduleKey(source, 1));
+    EXPECT_NE(aot::moduleKey(source, 1), aot::moduleKey(source, 2));
+    EXPECT_NE(aot::moduleKey(source, 1ULL << 63),
+              aot::moduleKey(source, 0));
+
+    const aot::NativeLoadResult loaded = aot::loadNativeModule(aspec);
+    if (!loaded)
+        GTEST_SKIP() << "native backend unavailable: " << loaded.error;
+    char name[64];
+    std::snprintf(name, sizeof name, "ehdl_aot_%016llx.so",
+                  static_cast<unsigned long long>(aot::moduleKey(source)));
+    EXPECT_NE(loaded.module->path().find(name), std::string::npos)
+        << loaded.module->path();
+    EXPECT_EQ(loaded.module->table().sourceHash, aot::moduleKey(source));
+}
+
+// --- folded handlers --------------------------------------------------
+
+/** One instruction's worth of state: program, packet, maps, ExecState. */
+struct FoldWorld
+{
+    explicit FoldWorld(const ebpf::Program &prog)
+        : maps(prog.maps), mapio(maps),
+          pkt(net::PacketFactory::build(net::PacketSpec{})),
+          state(prog, &pkt, &mapio)
+    {
+        using ebpf::PtrTag;
+        using ebpf::VmValue;
+        auto &r = state.regs;
+        // Scalars whose 32-bit halves differ in sign; addresses stay
+        // far from INT64 overflow so the generic body is defined too.
+        r[0] = VmValue::scalar(0x0000000180000001ULL);
+        r[2] = state.load(r[1], ebpf::kXdpMdData, 4);
+        r[2].bits = 14;
+        r[3] = state.load(r[1], ebpf::kXdpMdDataEnd, 4);
+        r[4] = r[10];
+        r[4].bits -= 16;
+        r[5].tag = PtrTag::MapValue;
+        r[5].entry = 1;
+        r[6].tag = PtrTag::MapHandle;
+        r[7] = VmValue::scalar(5);
+        r[8] = VmValue::scalar(0xffffffff80000000ULL);
+        // A spilled pointer at fp-8 and scalar bytes at fp-16.
+        state.store(r[10], -8, 8, r[2]);
+        state.store(r[10], -16, 8, VmValue::scalar(0x1122334455667788ULL));
+        state.clearDirty();
+    }
+
+    MapSet maps;
+    ebpf::DirectMapIo mapio;
+    net::Packet pkt;
+    ebpf::ExecState state;
+};
+
+/** Every observable effect of one instruction on a FoldWorld but maps. */
+struct FoldEffect
+{
+    bool trapped = false;
+    std::string trapReason;
+    std::vector<uint8_t> enabled;
+    ebpf::ExecState::Checkpoint full;
+    ebpf::ExecState::Checkpoint dirty;
+    bool pktDirty = false;
+    std::vector<uint8_t> pktBytes;
+    uint32_t redirect = 0;
+};
+
+/**
+ * Run @p insn on @p w through handler @p fn, or through the generic
+ * ExecState body (evalCond when @p branch, else execute) when @p fn is
+ * null, and record its effect.
+ */
+FoldEffect
+runOn(FoldWorld &w, const ebpf::Insn &insn, bool branch, aot::UopFn fn)
+{
+    FoldEffect e;
+    e.enabled.assign(3, 0);
+    try {
+        if (fn != nullptr) {
+            aot::AotCtx c;
+            c.st = &w.state;
+            c.enabled = &e.enabled;
+            c.insns = &insn;
+            aot::MicroOp op;
+            op.fn = fn;
+            op.taken = 1;
+            op.fall = 2;
+            fn(c, op);
+        } else if (branch) {
+            e.enabled[w.state.evalCond(insn) ? 1 : 2] = 1;
+        } else {
+            w.state.execute(insn);
+        }
+    } catch (const ebpf::VmTrap &trap) {
+        e.trapped = true;
+        e.trapReason = trap.reason;
+    }
+    e.full = w.state.checkpoint();
+    e.pktDirty = w.state.pktDirty();
+    std::vector<uint16_t> all_slots(ebpf::kStackSize / 8);
+    for (size_t i = 0; i < all_slots.size(); ++i)
+        all_slots[i] = static_cast<uint16_t>(i);
+    w.state.checkpointDirtyInto(e.dirty, ebpf::ExecState::kAllRegsMask,
+                                all_slots);
+    e.pktBytes.assign(w.pkt.data(), w.pkt.data() + w.pkt.size());
+    e.redirect = w.state.redirectIfindex;
+    return e;
+}
+
+/** First difference between two checkpoints, "" when equal. */
+std::string
+checkpointDiff(const ebpf::ExecState::Checkpoint &x,
+               const ebpf::ExecState::Checkpoint &y)
+{
+    if (x.regs != y.regs || x.liveRegs != y.liveRegs)
+        return "registers";
+    if (x.pktGen != y.pktGen || x.prandomSeq != y.prandomSeq)
+        return "packet generation / prandom sequence";
+    if (x.stackSlots.size() != y.stackSlots.size())
+        return "stack slot count";
+    for (size_t i = 0; i < x.stackSlots.size(); ++i) {
+        const auto &p = x.stackSlots[i];
+        const auto &q = y.stackSlots[i];
+        if (p.slot != q.slot || p.bytes != q.bytes ||
+            p.shadowValid != q.shadowValid || p.shadow != q.shadow)
+            return "stack slot " + std::to_string(p.slot);
+    }
+    return "";
+}
+
+/**
+ * Run @p insn through the generic body and through @p fn on two fresh,
+ * identical worlds: the first difference in registers, stack (values,
+ * spilled-pointer shadows and dirty sets), packet, maps, enable signals
+ * or trap reason, "" when there is none.
+ */
+std::string
+foldDiff(const ebpf::Program &prog, const ebpf::Insn &insn, bool branch,
+         aot::UopFn fn)
+{
+    FoldWorld generic(prog);
+    FoldWorld folded(prog);
+    const FoldEffect a = runOn(generic, insn, branch, nullptr);
+    const FoldEffect b = runOn(folded, insn, branch, fn);
+    if (a.trapped != b.trapped || a.trapReason != b.trapReason)
+        return "trap '" + a.trapReason + "' vs '" + b.trapReason + "'";
+    if (a.enabled != b.enabled)
+        return "enable signals";
+    if (const std::string d = checkpointDiff(a.full, b.full); !d.empty())
+        return "state: " + d;
+    if (const std::string d = checkpointDiff(a.dirty, b.dirty); !d.empty())
+        return "dirty set: " + d;
+    if (a.pktDirty != b.pktDirty || a.pktBytes != b.pktBytes)
+        return "packet";
+    if (a.redirect != b.redirect)
+        return "redirect target";
+    if (!MapSet::equal(generic.maps, folded.maps))
+        return "maps";
+    return "";
+}
+
+TEST(AotFold, FoldedHandlersEqualGenericSemantics)
+{
+    ebpf::ProgramBuilder b("fold");
+    b.addMap({"vals", ebpf::MapKind::Array, 4, 8, 4});
+    b.mov(0, 0);
+    b.exit();
+    const ebpf::Program prog = b.build();
+
+    // Every register pair against offsets and immediates that hit in-
+    // and out-of-bounds accesses, byte-swap widths, shift amounts,
+    // helper ids (1: map lookup, 28: csum_diff) and sign extremes.
+    const std::pair<int16_t, int64_t> kOffImm[] = {
+        {0, 0}, {-8, 1}, {14, -1}, {4, 16}, {8, 32}, {-16, 64},
+        {200, 0x7fffffff}, {2, 28}, {-520, 63}, {6, INT32_MIN},
+    };
+    size_t folded = 0;
+    for (unsigned opc = 0; opc < 256; ++opc) {
+        ebpf::Insn probe;
+        probe.opcode = static_cast<uint8_t>(opc);
+        const bool branch = probe.isCondJmp();
+        const aot::UopFn fn = branch ? aot::branchHandler(probe.opcode)
+                                     : aot::execHandler(probe.opcode);
+        if (fn == (branch ? &aot::uopBranch : &aot::uopExec))
+            continue;  // not folded: the generic handler itself
+        ++folded;
+        for (const bool map_load : {false, true}) {
+            if (map_load && !probe.isLddw())
+                continue;
+            for (unsigned dst = 0; dst < ebpf::kNumRegs; ++dst)
+                for (unsigned src = 0; src < ebpf::kNumRegs; ++src)
+                    for (const auto &[off, imm] : kOffImm) {
+                        ebpf::Insn insn = probe;
+                        insn.dst = static_cast<uint8_t>(dst);
+                        insn.src = static_cast<uint8_t>(src);
+                        insn.off = off;
+                        insn.imm = imm;
+                        insn.isMapLoad = map_load;
+                        ASSERT_EQ(foldDiff(prog, insn, branch, fn), "")
+                            << "opcode 0x" << std::hex << opc << std::dec
+                            << " dst r" << dst << " src r" << src
+                            << " off " << off << " imm " << imm
+                            << (map_load ? " (map load)" : "");
+                    }
+        }
+    }
+    EXPECT_GT(folded, 100u);
+}
+
+TEST(AotFold, AppOpcodesAreFolded)
+{
+    // Every instruction the paper apps execute through a micro-op gets a
+    // folded handler, not the generic decode.
+    for (const AppSpec &spec : apps::paperApps()) {
+        SCOPED_TRACE(spec.prog.name);
+        for (const ebpf::Insn &insn : spec.prog.insns) {
+            if (insn.isExit() || insn.isUncondJmp())
+                continue;
+            if (insn.isCondJmp())
+                EXPECT_NE(aot::branchHandler(insn.opcode), &aot::uopBranch)
+                    << "opcode 0x" << std::hex << +insn.opcode;
+            else
+                EXPECT_NE(aot::execHandler(insn.opcode), &aot::uopExec)
+                    << "opcode 0x" << std::hex << +insn.opcode;
+        }
     }
 }
 

@@ -58,10 +58,13 @@ TEST(FuzzCorpus, HasCases)
 
 TEST(FuzzCorpus, ReplayMatchesExpectation)
 {
+    // The interpreter half of the pair; UnderAot below runs the tables.
+    RunOptions opts;
+    opts.engine = sim::SimEngine::Interp;
     for (const std::string &path : corpusFiles()) {
         SCOPED_TRACE(path);
         const FuzzCase c = loadCase(path);
-        const CaseResult r = runCase(c);
+        const CaseResult r = runCase(c, opts);
         EXPECT_EQ(r.diverged(), c.expectDivergence) << outcomeKey(r);
     }
 }
@@ -80,6 +83,37 @@ TEST(FuzzCorpus, ReplayMatchesExpectationUnderAot)
         const FuzzCase c = loadCase(path);
         const CaseResult r = runCase(c, opts);
         EXPECT_EQ(r.diverged(), c.expectDivergence) << outcomeKey(r);
+    }
+}
+
+TEST(FuzzCorpus, RuntimeTrapsAgreeOnEveryEngine)
+{
+    // A verifier-accepted program that traps at run time on six of its
+    // eight packets (packet load past the frame, map value load past the
+    // value, an oversized csum_diff span). Every engine must abort the
+    // packets the VM aborts, for the same reason: the VM check compares
+    // trap flags and reasons.
+    const FuzzCase c = loadCase(std::string(EHDL_CORPUS_DIR) +
+                                "/regress-runtime-traps.ehdlcase");
+    struct Engine
+    {
+        sim::SimEngine engine;
+        sim::AotBackend backend;
+    };
+    for (const Engine e : {Engine{sim::SimEngine::Interp,
+                                  sim::AotBackend::DirectThreaded},
+                           Engine{sim::SimEngine::Aot,
+                                  sim::AotBackend::DirectThreaded},
+                           Engine{sim::SimEngine::Aot,
+                                  sim::AotBackend::Native}}) {
+        RunOptions opts;
+        opts.engine = e.engine;
+        opts.aotBackend = e.backend;
+        const CaseResult r = runCase(c, opts);
+        SCOPED_TRACE(r.engineInfo.describe());
+        ASSERT_TRUE(r.compiled) << r.rejectReason;
+        EXPECT_FALSE(r.diverged()) << outcomeKey(r);
+        EXPECT_EQ(r.pipeStats.abortedPackets, 6u);
     }
 }
 
